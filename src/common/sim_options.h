@@ -62,9 +62,11 @@ struct FaultOptions {
 enum class KirExec : std::uint8_t { kBytecode = 0, kInterp };
 
 struct SimOptions {
-  /// Host worker threads for parallel simulation. 1 = the serial engine
-  /// (inline cache accesses, no buffering); >1 = record/replay engine.
-  /// 0 = one worker per available hardware thread.
+  /// Host worker threads for kir::RunWorkGroups, the one work-group
+  /// pipeline. 1 = the pipeline run inline, with no pool and direct cache
+  /// accesses; >1 = the same tasks on a pool, their recorded access
+  /// streams replayed in the same order. 0 = one worker per available
+  /// hardware thread.
   int threads = 1;
 
   /// Chunks a worker may run ahead of the in-order replay cursor before it

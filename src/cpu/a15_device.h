@@ -7,11 +7,9 @@
 // parallel region.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/sim_options.h"
 #include "common/stats.h"
@@ -30,16 +28,10 @@ class Recorder;
 
 namespace malisim::cpu {
 
-struct CpuRunResult {
-  /// Modelled wall time of the parallel region.
-  double seconds = 0.0;
-  /// Activity profile for the power model (covers `seconds`).
-  power::ActivityProfile profile;
-  /// Functional execution counts aggregated over all cores.
-  kir::WorkGroupRun run;
-  /// Detailed breakdown (cycles per class, miss counts, ...).
-  StatRegistry stats;
-};
+/// One Run(): modelled wall time of the parallel region, the activity
+/// profile covering it, counts merged over all cores, and per-core cycles
+/// and miss counts.
+using CpuRunResult = sim::DeviceRunResult;
 
 class CortexA15Device : public sim::Device {
  public:
@@ -64,10 +56,12 @@ class CortexA15Device : public sim::Device {
       kir::Bindings bindings) override;
   void FlushCaches() override { hierarchy_.Flush(); }
 
-  /// Host-side execution options; see MaliT604Device::set_sim_options for
-  /// the determinism contract. `num_threads` above selects the *modelled*
-  /// A15 core count; SimOptions::threads selects host workers and never
-  /// changes modelled results.
+  /// Host-side execution options; work-groups run through the same
+  /// kir::RunWorkGroups skeleton as on the Mali model (see
+  /// MaliT604Device::set_sim_options for the determinism contract).
+  /// `num_threads` above selects the *modelled* A15 core count;
+  /// SimOptions::threads selects host workers and never changes modelled
+  /// results.
   void set_sim_options(const SimOptions& options) override {
     options_ = options;
   }
@@ -88,27 +82,6 @@ class CortexA15Device : public sim::Device {
   static constexpr int kMaxCores = power::kNumA15Cores;
 
  private:
-  /// Functional results for one modelled core, produced by the execution
-  /// phase (serial or parallel) and consumed by the timing phase.
-  struct CoreAggregate {
-    kir::WorkGroupRun run;
-    std::uint64_t l1_misses = 0;
-    std::uint64_t l2_misses = 0;
-    std::uint64_t groups = 0;
-    /// Per-opcode dynamic counts; only filled while a recorder is attached.
-    std::array<std::uint64_t, kir::kNumOpcodeValues> opcode_tally{};
-  };
-
-  /// Record/replay execution across `host_threads` pool workers. `bytecode`
-  /// is the shared VM compilation when `engine` is kBytecode (null under
-  /// the interpreter).
-  Status RunGroupsParallel(
-      const kir::Program& program, const kir::LaunchConfig& config,
-      const kir::Bindings& bindings, std::uint64_t local_bytes,
-      int num_threads, int host_threads, KirExec engine,
-      std::shared_ptr<const kir::vm::CompiledProgram> bytecode,
-      std::vector<CoreAggregate>* agg);
-
   A15TimingParams timing_;
   sim::DeviceCaps caps_;
   sim::MemoryHierarchy hierarchy_;
@@ -117,9 +90,6 @@ class CortexA15Device : public sim::Device {
   obs::Recorder* recorder_ = nullptr;
   std::string record_scope_;
   std::unique_ptr<ThreadPool> pool_;
-  // Scratch backing for kernels with __local arrays (one region per core).
-  std::vector<std::unique_ptr<std::byte[]>> scratch_;
-  std::uint64_t scratch_bytes_ = 0;
 };
 
 }  // namespace malisim::cpu

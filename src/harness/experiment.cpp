@@ -12,6 +12,7 @@
 #include "common/thread_pool.h"
 #include "fault/injector.h"
 #include "fault/retry.h"
+#include "harness/serve_exec.h"
 #include "obs/recorder.h"
 
 namespace malisim::harness {
@@ -105,41 +106,6 @@ StatusOr<BenchmarkResults> ExperimentRunner::RunBenchmarkImpl(
   BenchmarkResults results;
   results.name = name;
 
-  // One board for all versions: single CPU and GPU model instances. The
-  // OpenCL context dispatches through the configured sim::Device backend
-  // (Context(kMali) is identical to the historical default-constructed
-  // context).
-  cpu::CortexA15Device cpu_device;
-  ocl::Context gpu_context(config_.device);
-  gpu_context.set_hetero_ratio(config_.hetero_ratio);
-  SimOptions sim_options;
-  sim_options.threads = std::max(1, device_threads);
-  sim_options.fault = config_.fault;
-  sim_options.kir_exec = config_.kir_exec;
-  cpu_device.set_sim_options(sim_options);
-  gpu_context.set_sim_options(sim_options);
-  if (config_.recorder != nullptr) {
-    cpu_device.set_recorder(config_.recorder);
-    gpu_context.set_recorder(config_.recorder);
-  }
-  hpc::Devices devices{&cpu_device, &gpu_context};
-
-  // The Hetero column's context: the gpu context itself when it already is
-  // the hetero backend, otherwise a second context stood up on demand.
-  std::unique_ptr<ocl::Context> hetero_context;
-  if (config_.device == sim::BackendKind::kHetero) {
-    devices.hetero = &gpu_context;
-  } else if (config_.include_hetero) {
-    hetero_context =
-        std::make_unique<ocl::Context>(sim::BackendKind::kHetero);
-    hetero_context->set_hetero_ratio(config_.hetero_ratio);
-    hetero_context->set_sim_options(sim_options);
-    if (config_.recorder != nullptr) {
-      hetero_context->set_recorder(config_.recorder);
-    }
-    devices.hetero = hetero_context.get();
-  }
-
   // One fault injector per (benchmark, precision) cell, with decision
   // streams keyed by the cell so RunAll can farm cells across threads
   // without changing any schedule. Attaching it with all-zero rates is
@@ -157,10 +123,15 @@ StatusOr<BenchmarkResults> ExperimentRunner::RunBenchmarkImpl(
       recorder->AddFault({e.site, name + "/" + e.key, e.action, e.detail});
     });
   }
-  gpu_context.set_fault_injector(&injector);
-  if (hetero_context != nullptr) {
-    hetero_context->set_fault_injector(&injector);
-  }
+
+  // One board for all versions: single CPU and GPU model instances.
+  SimOptions sim_options;
+  sim_options.threads = std::max(1, device_threads);
+  sim_options.fault = config_.fault;
+  sim_options.kir_exec = config_.kir_exec;
+  Board board(config_.device, config_.hetero_ratio, config_.include_hetero,
+              sim_options, &injector, config_.recorder);
+  hpc::Devices& devices = board.devices();
 
   const std::span<const hpc::Variant> variant_list =
       devices.hetero != nullptr
@@ -297,10 +268,11 @@ StatusOr<BenchmarkResults> ExperimentRunner::RunBenchmarkImpl(
   // Perfetto export can draw the causal schedule. Observability must never
   // fail a run, so a (structurally impossible) schedule error only warns.
   if (config_.recorder != nullptr) {
-    Status graph_status = gpu_context.queue().RecordScheduledGraph(
+    Status graph_status = board.gpu().queue().RecordScheduledGraph(
         std::string(sim::BackendName(config_.device)));
-    if (graph_status.ok() && hetero_context != nullptr) {
-      graph_status = hetero_context->queue().RecordScheduledGraph("hetero");
+    if (graph_status.ok() && board.second_hetero() != nullptr) {
+      graph_status =
+          board.second_hetero()->queue().RecordScheduledGraph("hetero");
     }
     if (!graph_status.ok()) {
       MALI_LOG_WARN("%s: event-graph record failed: %s", name.c_str(),

@@ -45,7 +45,7 @@ struct ExperimentConfig {
   bool include_hetero = false;
   int repetitions = 20;             // paper §IV-D
   double meter_window_sec = 2.0;    // modelled steady-state window per rep
-  /// Host threads for the simulation engine. 1 = serial reference engine;
+  /// Host threads for the simulation engine. 1 = work-groups run inline;
   /// >1 runs work-groups concurrently (and RunAll farms whole benchmarks
   /// across workers). Results are bit-identical for any value — the meter
   /// RNG is keyed per (benchmark, variant) and the devices use

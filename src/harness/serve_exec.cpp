@@ -3,12 +3,32 @@
 #include <memory>
 #include <utility>
 
-#include "cpu/a15_device.h"
 #include "fault/injector.h"
-#include "mali/compiler_cache.h"
-#include "ocl/runtime.h"
 
 namespace malisim::harness {
+
+Board::Board(sim::BackendKind device, double hetero_ratio, bool hetero_column,
+             const SimOptions& options, fault::FaultInjector* injector,
+             obs::Recorder* recorder, mali::CompileCache* compile_cache)
+    : gpu_(device) {
+  devices_ = {&cpu_, &gpu_};
+  if (device == sim::BackendKind::kHetero) {
+    devices_.hetero = &gpu_;
+  } else if (hetero_column) {
+    second_hetero_ = std::make_unique<ocl::Context>(sim::BackendKind::kHetero);
+    devices_.hetero = second_hetero_.get();
+  }
+  cpu_.set_sim_options(options);
+  cpu_.set_recorder(recorder);
+  for (ocl::Context* context : {&gpu_, second_hetero_.get()}) {
+    if (context == nullptr) continue;
+    context->set_hetero_ratio(hetero_ratio);
+    context->set_sim_options(options);
+    context->set_fault_injector(injector);
+    context->set_recorder(recorder);
+    context->set_compile_cache(compile_cache);
+  }
+}
 
 Status ExecuteJobVariant(const JobExecRequest& request, JobExecResult* out) {
   *out = JobExecResult();
@@ -19,42 +39,21 @@ Status ExecuteJobVariant(const JobExecRequest& request, JobExecResult* out) {
   }
   MALI_RETURN_IF_ERROR(bench->Setup(request.fp64, request.seed));
 
-  // Fresh board per job: no mutable simulator state crosses jobs.
-  cpu::CortexA15Device cpu_device;
-  ocl::Context gpu_context(request.device);
-  gpu_context.set_hetero_ratio(request.hetero_ratio);
-  SimOptions sim_options;
-  sim_options.threads = 1;  // jobs fan out across workers; engines serial
-  sim_options.fault = request.fault;
-  cpu_device.set_sim_options(sim_options);
-  gpu_context.set_sim_options(sim_options);
-  gpu_context.set_compile_cache(request.compile_cache);
-
-  hpc::Devices devices{&cpu_device, &gpu_context};
-  std::unique_ptr<ocl::Context> hetero_context;
-  if (request.variant == hpc::Variant::kHetero) {
-    if (request.device == sim::BackendKind::kHetero) {
-      devices.hetero = &gpu_context;
-    } else {
-      hetero_context =
-          std::make_unique<ocl::Context>(sim::BackendKind::kHetero);
-      hetero_context->set_hetero_ratio(request.hetero_ratio);
-      hetero_context->set_sim_options(sim_options);
-      hetero_context->set_compile_cache(request.compile_cache);
-      devices.hetero = hetero_context.get();
-    }
-  }
-
   StatusOr<fault::FaultPlan> plan_or =
       fault::FaultPlan::FromOptions(request.fault);
   if (!plan_or.ok()) return plan_or.status();
   fault::FaultPlan plan = *std::move(plan_or);
   plan.retry.max_total_backoff_sec = request.max_total_backoff_sec;
   fault::FaultInjector injector(plan);
-  gpu_context.set_fault_injector(&injector);
-  if (hetero_context != nullptr) {
-    hetero_context->set_fault_injector(&injector);
-  }
+
+  // Fresh board per job: no mutable simulator state crosses jobs.
+  SimOptions sim_options;
+  sim_options.threads = 1;  // jobs fan out across workers; engines serial
+  sim_options.fault = request.fault;
+  Board board(request.device, request.hetero_ratio,
+              request.variant == hpc::Variant::kHetero, sim_options,
+              &injector, /*recorder=*/nullptr, request.compile_cache);
+  hpc::Devices& devices = board.devices();
 
   StatusOr<hpc::RunOutcome> run = fault::RetryWithBackoff(
       plan.retry,

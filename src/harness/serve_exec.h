@@ -1,12 +1,13 @@
-// Job-scoped execution for the serve engine (DESIGN.md §14): one benchmark
-// variant run end-to-end against fresh device models, with the job's own
-// fault schedule, watchdog budget and retry cap.
+// The simulated board every harness entry point runs on, and job-scoped
+// execution for the serve engine (DESIGN.md §14): one benchmark variant run
+// end-to-end against a fresh Board, with the job's own fault schedule,
+// watchdog budget and retry cap.
 //
-// Isolation contract: every call stands up a fresh Benchmark, CortexA15
-// model and ocl::Context (the TuneBenchmark evaluation pattern), so jobs
-// never share mutable simulator state and can run concurrently from any
-// worker thread. The only shared state is the optional CompileCache, which
-// is internally synchronized and never alters results or fault schedules.
+// Isolation contract: every call stands up a fresh Benchmark and Board
+// (the TuneBenchmark evaluation pattern), so jobs never share mutable
+// simulator state and can run concurrently from any worker thread. The
+// only shared state is the optional CompileCache, which is internally
+// synchronized and never alters results or fault schedules.
 //
 // Determinism contract: the caller premixes the job id into
 // `fault.seed`, so a job's injector decisions depend only on (plan, job),
@@ -15,22 +16,63 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "common/sim_options.h"
 #include "common/status.h"
+#include "cpu/a15_device.h"
 #include "fault/retry.h"
 #include "hpc/benchmark.h"
 #include "hpc/problem_sizes.h"
+#include "ocl/runtime.h"
 #include "power/power_model.h"
 #include "sim/device.h"
 #include "sim/tuner.h"
+
+namespace malisim::fault {
+class FaultInjector;
+}  // namespace malisim::fault
 
 namespace malisim::mali {
 class CompileCache;
 }  // namespace malisim::mali
 
+namespace malisim::obs {
+class Recorder;
+}  // namespace malisim::obs
+
 namespace malisim::harness {
+
+/// One simulated board: the A15 device, the OpenCL context on `device`
+/// and, for the Hetero column, a co-execution context. That is the GPU
+/// context itself when `device` is kHetero; otherwise `hetero_column`
+/// stands up a second context. Every context gets the same SimOptions,
+/// hetero ratio (negative = self-tuning), fault injector, recorder and
+/// compile cache; the A15 device gets the options and the recorder. The
+/// injector, recorder and cache may be null and must outlive the board.
+class Board {
+ public:
+  Board(sim::BackendKind device, double hetero_ratio, bool hetero_column,
+        const SimOptions& options, fault::FaultInjector* injector,
+        obs::Recorder* recorder = nullptr,
+        mali::CompileCache* compile_cache = nullptr);
+
+  Board(const Board&) = delete;
+  Board& operator=(const Board&) = delete;
+
+  hpc::Devices& devices() { return devices_; }
+  ocl::Context& gpu() { return gpu_; }
+  /// The second context behind the Hetero column, or null when there is
+  /// none or the GPU context serves it.
+  ocl::Context* second_hetero() { return second_hetero_.get(); }
+
+ private:
+  cpu::CortexA15Device cpu_;
+  ocl::Context gpu_;
+  std::unique_ptr<ocl::Context> second_hetero_;
+  hpc::Devices devices_;
+};
 
 struct JobExecRequest {
   std::string benchmark;

@@ -6,8 +6,8 @@
 #include <utility>
 
 #include "common/log.h"
-#include "cpu/a15_device.h"
 #include "fault/injector.h"
+#include "harness/serve_exec.h"
 #include "hpc/benchmark.h"
 #include "ocl/runtime.h"
 
@@ -130,18 +130,6 @@ StatusOr<TuningReport> TuneBenchmark(const TuningRequest& request) {
     MALI_CHECK(bench != nullptr);
     MALI_RETURN_IF_ERROR(bench->Setup(request.fp64, request.seed));
 
-    cpu::CortexA15Device cpu_device;
-    ocl::Context gpu_context(request.device);
-    const std::int64_t permille = config.Get(kHeteroAxis, -1);
-    if (permille >= 0) {
-      gpu_context.set_hetero_ratio(static_cast<double>(permille) / 1000.0);
-    }
-    SimOptions sim_options;
-    sim_options.threads = 1;  // candidates fan out; engines stay serial
-    sim_options.fault = request.fault;
-    cpu_device.set_sim_options(sim_options);
-    gpu_context.set_sim_options(sim_options);
-
     // Fault schedule keyed per candidate, so injected faults land on the
     // same candidates regardless of evaluation order or thread count.
     StatusOr<fault::FaultPlan> plan = fault::FaultPlan::FromOptions(
@@ -150,9 +138,15 @@ StatusOr<TuningReport> TuneBenchmark(const TuningRequest& request) {
     plan->seed ^= sim::Fnv1a64(request.benchmark + "/" +
                                config.CanonicalKey());
     fault::FaultInjector injector(*plan);
-    gpu_context.set_fault_injector(&injector);
 
-    hpc::Devices devices{&cpu_device, &gpu_context};
+    const std::int64_t permille = config.Get(kHeteroAxis, -1);
+    SimOptions sim_options;
+    sim_options.threads = 1;  // candidates fan out; engines stay serial
+    sim_options.fault = request.fault;
+    Board board(request.device,
+                permille >= 0 ? static_cast<double>(permille) / 1000.0 : -1.0,
+                /*hetero_column=*/false, sim_options, &injector);
+    hpc::Devices& devices = board.devices();
     StatusOr<hpc::RunOutcome> run = bench->RunTuned(config, devices);
     if (!run.ok()) return run.status();
     if (!run->validated) {

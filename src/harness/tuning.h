@@ -1,10 +1,9 @@
 // Harness adapter between sim::Tuner and the nine paper benchmarks.
 //
 // TuneBenchmark stands up one complete, self-contained evaluation pipeline
-// per candidate configuration: a fresh Benchmark instance (Setup included),
-// a fresh Cortex-A15 device and a fresh ocl::Context, so candidate
-// evaluations are thread-safe under the tuner's fan-out and bit-identical
-// for any host thread count. Energy comes straight from the power model
+// per candidate configuration: a fresh Benchmark instance (Setup included)
+// and a fresh harness::Board, so candidate evaluations are thread-safe
+// under the tuner's fan-out and bit-identical for any host thread count. Energy comes straight from the power model
 // over the candidate's activity profile — no meter noise enters the search,
 // matching the §IV-D observation that the modelled deviations are
 // negligible.

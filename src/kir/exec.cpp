@@ -1,4 +1,5 @@
-// The engine-selecting kir::Executor facade and the RunProgram helpers.
+// The engine-selecting kir::Executor facade, the RunWorkGroups skeleton
+// and the RunProgram helpers.
 //
 // Out of line (and out of interp.cpp) because this is the only translation
 // unit in the library that needs both engines: the facade header only
@@ -86,66 +87,150 @@ StatusOr<WorkGroupRun> RunProgram(const Program& program, LaunchConfig config,
   return run;
 }
 
+Status RunWorkGroups(const GroupLaunch& launch,
+                     std::unique_ptr<ThreadPool>* pool,
+                     std::vector<CoreRun>* out) {
+  MALI_CHECK(launch.program != nullptr && !launch.cores.empty());
+  const Program& program = *launch.program;
+  const int host_threads = launch.options.ResolvedThreads();
+  const bool run_inline = host_threads <= 1;
+  const std::uint64_t cores = launch.cores.size();
+  std::uint64_t scratch_bytes = 64;
+  for (const LocalArrayDecl& local : program.locals) {
+    scratch_bytes += static_cast<std::uint64_t>(local.elems) *
+                     ScalarBytes(local.elem);
+  }
+
+  struct Task {
+    std::size_t core = 0;
+    std::uint64_t begin = 0;  // index into the core's slice
+    std::uint64_t end = 0;
+  };
+  // Inline: one task per core. Pooled: about four tasks per host worker.
+  const std::uint64_t chunks_per_core =
+      run_inline ? 1
+                 : (4 * static_cast<std::uint64_t>(host_threads) + cores - 1) /
+                       cores;
+  std::vector<Task> tasks;
+  for (std::size_t c = 0; c < cores; ++c) {
+    const std::uint64_t count = launch.cores[c].count;
+    const std::uint64_t chunks = std::min<std::uint64_t>(
+        chunks_per_core, std::max<std::uint64_t>(count, 1));
+    for (std::uint64_t k = 0; k < chunks; ++k) {
+      tasks.push_back({c, count * k / chunks, count * (k + 1) / chunks});
+    }
+  }
+  if (!run_inline &&
+      (*pool == nullptr || (*pool)->num_workers() != host_threads)) {
+    *pool = std::make_unique<ThreadPool>(host_threads);
+  }
+
+  struct TaskState {
+    std::vector<MemEvent> events;
+    std::vector<std::byte> scratch;
+    WorkGroupRun run;
+    std::array<std::uint64_t, kNumOpcodeValues> opcode_tally{};
+  };
+  std::vector<TaskState> state(tasks.size());
+  out->assign(cores, CoreRun());
+  const auto group_dims = launch.config.num_groups();
+
+  auto run_task = [&](std::size_t i) -> Status {
+    const Task& task = tasks[i];
+    const CoreSlice& core = launch.cores[task.core];
+    TaskState& s = state[i];
+    Bindings bindings = *launch.bindings;
+    s.scratch.assign(scratch_bytes, std::byte{0});
+    bindings.local_scratch = {
+        s.scratch.data(),
+        launch.scratch_base + task.core * launch.scratch_stride,
+        scratch_bytes};
+    StatusOr<Executor> executor =
+        Executor::Create(&program, launch.config, std::move(bindings),
+                         launch.options.kir_exec, launch.bytecode);
+    if (!executor.ok()) return executor.status();
+    if (launch.tally_opcodes) executor->set_opcode_tally(s.opcode_tally.data());
+
+    NullMemorySink null_sink;
+    RecordingMemorySink recorder(&s.events);
+    MemorySink* sink = core.sink != nullptr ? core.sink : &null_sink;
+    if (run_inline) {
+      executor->set_host_time(core.host_time);
+    } else if (!sink->discards_events()) {
+      sink = &recorder;
+    }
+    for (std::uint64_t k = task.begin; k < task.end; ++k) {
+      const std::uint64_t g = core.first + k * core.stride;
+      MALI_RETURN_IF_ERROR(executor->RunGroup(
+          {g % group_dims[0], (g / group_dims[0]) % group_dims[1],
+           g / (group_dims[0] * group_dims[1])},
+          sink, &s.run));
+    }
+    return Status::Ok();
+  };
+
+  auto replay_task = [&](std::size_t i) -> Status {
+    const Task& task = tasks[i];
+    MemorySink* sink = launch.cores[task.core].sink;
+    TaskState& s = state[i];
+    for (const MemEvent& e : s.events) {
+      if (e.kind == MemEvent::kAtomic) {
+        sink->OnAtomic(e.addr, e.bytes);
+      } else {
+        sink->OnAccess(e.addr, e.bytes, e.kind == MemEvent::kWrite);
+      }
+    }
+    CoreRun& core = (*out)[task.core];
+    core.run.MergeFrom(s.run);
+    core.groups += task.end - task.begin;
+    for (std::size_t op = 0; op < core.opcode_tally.size(); ++op) {
+      core.opcode_tally[op] += s.opcode_tally[op];
+    }
+    s = TaskState();  // release buffered state as the replay cursor passes
+    return Status::Ok();
+  };
+
+  return RunOrderedPipeline(
+      run_inline ? nullptr : pool->get(), tasks.size(),
+      static_cast<std::size_t>(launch.options.ResolvedWindow()), run_task,
+      replay_task);
+}
+
 StatusOr<WorkGroupRun> RunProgramParallel(const Program& program,
                                           LaunchConfig config,
                                           const Bindings& bindings,
                                           int threads, KirExec engine) {
   if (threads < 1) return InvalidArgumentError("threads must be >= 1");
   // Validate once up front so misuse fails identically to RunProgram, and
-  // compile the bytecode once so every chunk shares it.
+  // compile the bytecode once so every task shares it.
   MALI_RETURN_IF_ERROR(ValidateLaunch(program, config, bindings));
-  std::shared_ptr<const vm::CompiledProgram> bytecode;
+  GroupLaunch launch;
+  launch.program = &program;
+  launch.config = config;
+  launch.bindings = &bindings;
+  launch.options.threads = threads;
+  launch.options.kir_exec = engine;
   if (engine == KirExec::kBytecode) {
     StatusOr<std::shared_ptr<const vm::CompiledProgram>> compiled =
         vm::CompileProgram(program);
     if (!compiled.ok()) return compiled.status();
-    bytecode = *std::move(compiled);
+    launch.bytecode = *std::move(compiled);
   }
-
-  const auto group_dims = config.num_groups();
-  const std::uint64_t total_groups = config.total_groups();
-  // Contiguous row-major chunks; each runs in a private executor. Chunk
-  // boundaries never affect results: counts merge with integer addition
-  // and the null sink drops the access streams.
-  const std::uint64_t num_chunks =
-      std::min<std::uint64_t>(total_groups,
-                              static_cast<std::uint64_t>(threads) * 4);
-  std::vector<WorkGroupRun> chunk_runs(num_chunks);
-  std::vector<std::vector<std::byte>> chunk_scratch(num_chunks);
-
-  ThreadPool pool(threads);
-  auto run_chunk = [&](std::size_t i) -> Status {
-    Bindings chunk_bindings = bindings;
-    if (bindings.local_scratch.host != nullptr) {
-      // Private __local backing per chunk (same simulated address), so
-      // chunks never race on scratch contents.
-      chunk_scratch[i].assign(bindings.local_scratch.size_bytes,
-                              std::byte{0});
-      chunk_bindings.local_scratch.host = chunk_scratch[i].data();
-    }
-    StatusOr<Executor> executor = Executor::Create(
-        &program, config, std::move(chunk_bindings), engine, bytecode);
-    if (!executor.ok()) return executor.status();
-    NullMemorySink sink;
-    const std::uint64_t begin = total_groups * i / num_chunks;
-    const std::uint64_t end = total_groups * (i + 1) / num_chunks;
-    for (std::uint64_t g = begin; g < end; ++g) {
-      const std::uint64_t gx = g % group_dims[0];
-      const std::uint64_t gy = (g / group_dims[0]) % group_dims[1];
-      const std::uint64_t gz = g / (group_dims[0] * group_dims[1]);
-      MALI_RETURN_IF_ERROR(
-          executor->RunGroup({gx, gy, gz}, &sink, &chunk_runs[i]));
-    }
-    return Status::Ok();
-  };
-
+  launch.scratch_base = bindings.local_scratch.sim_addr;
+  // The whole grid (RunProgram ignores group sub-ranges too), as contiguous
+  // row-major slices. Slice boundaries never affect results: counts merge
+  // with integer addition and the null sinks drop the access streams.
+  const std::uint64_t total = config.total_groups();
+  const auto n = static_cast<std::uint64_t>(threads);
+  for (std::uint64_t t = 0; t < n; ++t) {
+    const std::uint64_t first = total * t / n;
+    launch.cores.push_back({first, total * (t + 1) / n - first});
+  }
+  std::unique_ptr<ThreadPool> pool;
+  std::vector<CoreRun> cores;
+  MALI_RETURN_IF_ERROR(RunWorkGroups(launch, &pool, &cores));
   WorkGroupRun run;
-  MALI_RETURN_IF_ERROR(RunOrderedPipeline(
-      &pool, num_chunks, num_chunks, run_chunk, [&](std::size_t i) {
-        run.MergeFrom(chunk_runs[i]);
-        chunk_runs[i] = WorkGroupRun();
-        return Status::Ok();
-      }));
+  for (const CoreRun& core : cores) run.MergeFrom(core.run);
   return run;
 }
 

@@ -10,10 +10,11 @@
 //    to the interpreter by construction and by the `ctest -L kirvm`
 //    differential suite.
 //
-// Device models wrap the Executor facade below, which selects an engine via
-// SimOptions::kir_exec (--kir-exec=, bytecode by default): Mali runs whole
-// work-groups per shader core, the A15 model runs contiguous slices of the
-// index space per CPU core.
+// The Executor facade below selects an engine via SimOptions::kir_exec
+// (--kir-exec=, bytecode by default). Device models drive it through
+// RunWorkGroups, the one work-group execution skeleton: Mali hands it
+// round-robin group slices per shader core, the A15 model contiguous
+// slices per CPU core.
 #pragma once
 
 #include <array>
@@ -25,6 +26,10 @@
 #include "common/status.h"
 #include "kir/exec_types.h"
 #include "kir/program.h"
+
+namespace malisim {
+class ThreadPool;
+}  // namespace malisim
 
 namespace malisim::kir {
 
@@ -208,12 +213,67 @@ StatusOr<WorkGroupRun> RunProgram(const Program& program, LaunchConfig config,
                                   Bindings bindings,
                                   KirExec engine = KirExec::kBytecode);
 
-/// Like RunProgram but farms contiguous work-group chunks across `threads`
-/// pool workers, each with a private executor (and private __local backing
-/// when the program declares locals), merging counts in canonical chunk
-/// order. For well-formed kernels the result is bit-identical to
-/// RunProgram; the fuzz suite exercises exactly that contract. Under the
-/// bytecode engine the program is compiled once and shared by every chunk.
+/// One modelled core's share of a launch: the linear work-group indices
+/// first, first + stride, ... (`count` of them), the sink that receives the
+/// core's memory accesses in canonical order (null drops them), and an
+/// optional host-time sampler, armed only when the launch runs inline.
+struct CoreSlice {
+  std::uint64_t first = 0;
+  std::uint64_t count = 0;
+  std::uint64_t stride = 1;
+  MemorySink* sink = nullptr;
+  HostTimeSink* host_time = nullptr;
+};
+
+/// What one modelled core executed.
+struct CoreRun {
+  WorkGroupRun run;
+  std::uint64_t groups = 0;
+  /// Per-opcode dynamic counts; filled only when the launch tallies them.
+  std::array<std::uint64_t, kNumOpcodeValues> opcode_tally{};
+};
+
+/// One launch for RunWorkGroups.
+struct GroupLaunch {
+  const Program* program = nullptr;
+  LaunchConfig config;
+  const Bindings* bindings = nullptr;
+  /// Engine (kir_exec), host workers (ResolvedThreads) and how many tasks
+  /// may run ahead of the replay cursor (ResolvedWindow).
+  SimOptions options;
+  /// Shared compilation for the bytecode engine (null: each executor
+  /// compiles its own).
+  std::shared_ptr<const vm::CompiledProgram> bytecode;
+  /// Core c's __local scratch lives at scratch_base + c * scratch_stride in
+  /// the simulated address space.
+  std::uint64_t scratch_base = 0;
+  std::uint64_t scratch_stride = 0;
+  bool tally_opcodes = false;
+  std::vector<CoreSlice> cores;
+};
+
+/// The work-group execution skeleton both device models and
+/// RunProgramParallel share. Tasks are chunks of one core's slice, ordered
+/// core-major, and run through RunOrderedPipeline; each gets a private
+/// executor and zeroed __local backing at its core's scratch address.
+///
+/// With one host thread there is no pool: one task per core, run inline,
+/// writing straight into the core's sink. With more, each core's slice is
+/// split across `*pool` (created or resized on demand); tasks record their
+/// accesses as MemEvents and replay them into the core's sink in task
+/// order, which is the inline order, so order-dependent sinks (cache
+/// models) see identical streams at every thread count. Sinks that discard
+/// events are used directly. Fills `out` with one CoreRun per core; on
+/// failure, returns the status of the first failing task in that order.
+Status RunWorkGroups(const GroupLaunch& launch,
+                     std::unique_ptr<ThreadPool>* pool,
+                     std::vector<CoreRun>* out);
+
+/// Like RunProgram but runs the whole grid through RunWorkGroups as
+/// `threads` contiguous slices on `threads` pool workers. For well-formed
+/// kernels the result is bit-identical to RunProgram; the fuzz suite
+/// exercises exactly that contract. Under the bytecode engine the program
+/// is compiled once and shared by every task.
 StatusOr<WorkGroupRun> RunProgramParallel(const Program& program,
                                           LaunchConfig config,
                                           const Bindings& bindings,

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <unordered_map>
+#include <vector>
 
 #include "common/log.h"
 #include "fault/injector.h"
-#include "kir/vm/bytecode.h"
 #include "obs/recorder.h"
 
 namespace malisim::mali {
@@ -15,35 +15,23 @@ namespace {
 constexpr std::uint64_t kScratchSimBase = 0x7e00'0000'0000ULL;
 constexpr std::uint64_t kScratchStride = 16ULL << 20;
 
-/// Per-shader-core memory sink; also feeds the device-wide atomic
-/// contention tracker.
-class ShaderCoreSink final : public kir::MemorySink {
+/// Shader-core sink that also feeds the device-wide atomic contention
+/// tracker.
+class ShaderCoreSink final : public sim::CoreSink {
  public:
   ShaderCoreSink(sim::MemoryHierarchy* hierarchy, std::uint32_t core,
                  std::unordered_map<std::uint64_t, std::uint64_t>* atomic_lines)
-      : hierarchy_(hierarchy), core_(core), atomic_lines_(atomic_lines) {}
-
-  void OnAccess(std::uint64_t addr, std::uint32_t bytes, bool is_write) override {
-    const sim::AccessOutcome out = hierarchy_->Access(core_, addr, bytes, is_write);
-    l1_misses += out.l1_misses;
-    l2_misses += out.l2_misses;
-  }
+      : CoreSink(hierarchy, core), atomic_lines_(atomic_lines) {}
 
   void OnAtomic(std::uint64_t addr, std::uint32_t bytes) override {
-    OnAccess(addr, bytes, false);
-    OnAccess(addr, bytes, true);
+    CoreSink::OnAtomic(addr, bytes);
     // Contention is only meaningful for addresses shared across work-groups;
     // __local privatized bins (scratch range) never contend between the
     // groups that reuse the same per-core scratch over time.
     if (addr < kScratchSimBase) ++(*atomic_lines_)[addr / 64];
   }
 
-  std::uint64_t l1_misses = 0;
-  std::uint64_t l2_misses = 0;
-
  private:
-  sim::MemoryHierarchy* hierarchy_;
-  std::uint32_t core_;
   std::unordered_map<std::uint64_t, std::uint64_t>* atomic_lines_;
 };
 
@@ -129,12 +117,8 @@ StatusOr<sim::DeviceRunResult> MaliT604Device::RunKernel(
     return InvalidArgumentError(
         "mali-t604: RunKernel needs the compiled kernel handle");
   }
-  StatusOr<GpuRunResult> run =
-      Run(*static_cast<const CompiledKernel*>(kernel.compiled), config,
-          std::move(bindings));
-  if (!run.ok()) return run.status();
-  return sim::DeviceRunResult{run->seconds, run->profile,
-                              std::move(run->run), std::move(run->stats)};
+  return Run(*static_cast<const CompiledKernel*>(kernel.compiled), config,
+             std::move(bindings));
 }
 
 std::uint64_t MaliT604Device::DriverPickLocalSize(std::uint64_t global_size,
@@ -164,103 +148,45 @@ StatusOr<GpuRunResult> MaliT604Device::Run(const CompiledKernel& kernel,
   dram_.ResetStats();
 
   const kir::Program& program = *kernel.program;
-  std::uint64_t local_bytes = 0;
-  for (const kir::LocalArrayDecl& local : program.locals) {
-    local_bytes += static_cast<std::uint64_t>(local.elems) *
-                   kir::ScalarBytes(local.elem);
-  }
   const std::uint32_t cores = timing_.num_cores;
-  if (local_bytes > scratch_bytes_ || scratch_.empty()) {
-    scratch_.clear();
-    for (std::uint32_t c = 0; c < cores; ++c) {
-      scratch_.push_back(std::make_unique<std::byte[]>(local_bytes + 64));
-    }
-    scratch_bytes_ = local_bytes;
-  }
-
   const std::uint64_t active_groups = config.active_groups();
-  const auto group_dims = config.num_groups();
 
   GpuRunResult result;
-  std::unordered_map<std::uint64_t, std::uint64_t> atomic_lines;
-  std::vector<CoreAggregate> agg(cores);
-
-  // Phase 1 — functional execution + cache simulation, filling one
-  // CoreAggregate per modelled shader core. With one host thread this is
-  // the original inline engine; with more, work-groups execute
-  // concurrently and their recorded memory streams are replayed into the
-  // (order-dependent) cache hierarchy in this exact serial order.
-  // Host-time attribution (HostProf) samples the interpreter only on the
-  // serial engine path; the record/replay path is still covered by the
-  // enclosing execute-phase span.
   obs::HostProf* host_prof =
       recorder_ != nullptr ? recorder_->host_prof() : nullptr;
-  obs::InterpProfile interp_prof(host_prof, program,
-                                 static_cast<int>(cores));
-  const int host_threads = options_.ResolvedThreads();
-  const KirExec engine = options_.kir_exec;
-  std::shared_ptr<const kir::vm::CompiledProgram> bytecode = kernel.bytecode;
-  if (engine == KirExec::kBytecode && bytecode == nullptr) {
-    // Kernels built through tinycl carry bytecode already; compile here for
-    // direct CompileForMali-era callers that predate the field.
-    obs::HostProf::PhaseSpan vm_span(host_prof, obs::HostPhase::kVmCompile);
-    StatusOr<std::shared_ptr<const kir::vm::CompiledProgram>> compiled =
-        kir::vm::CompileProgram(program);
-    if (!compiled.ok()) return compiled.status();
-    bytecode = *std::move(compiled);
+  const bool recording = recorder_ != nullptr && recorder_->counters_enabled();
+  kir::GroupLaunch launch;
+  launch.program = &program;
+  launch.config = config;
+  launch.bindings = &bindings;
+  launch.options = options_;
+  // Kernels built through tinycl carry bytecode already; direct
+  // CompileForMali-era callers that predate the field get it compiled.
+  launch.bytecode = kernel.bytecode;
+  launch.scratch_base = kScratchSimBase;
+  launch.scratch_stride = kScratchStride;
+  launch.tally_opcodes = recording;
+  // Phase 1 — functional execution + cache simulation. Job Manager:
+  // round-robin distribution across shader cores, over the launch's active
+  // group sub-range (the whole grid unless a co-execution backend split it).
+  std::unordered_map<std::uint64_t, std::uint64_t> atomic_lines;
+  std::vector<ShaderCoreSink> sinks;
+  sinks.reserve(cores);
+  for (std::uint32_t c = 0; c < cores; ++c) {
+    sinks.emplace_back(&hierarchy_, c, &atomic_lines);
+    launch.cores.push_back(
+        {config.group_begin + c,
+         c < active_groups ? (active_groups - c + cores - 1) / cores : 0,
+         cores, &sinks[c]});
   }
-  {
-    obs::HostProf::PhaseSpan execute_span(host_prof,
-                                          obs::HostPhase::kExecute);
-    if (host_threads <= 1) {
-      // The vm/exec span nests inside execute on the serial path only; pool
-      // workers must not open spans (they would close with no enclosing
-      // frame and pollute root coverage).
-      obs::HostProf::PhaseSpan vm_exec_span(
-          engine == KirExec::kBytecode ? host_prof : nullptr,
-          obs::HostPhase::kVmExec);
-      for (std::uint32_t c = 0; c < cores; ++c) {
-        kir::Bindings core_bindings = bindings;
-        core_bindings.local_scratch = {scratch_[c].get(),
-                                       kScratchSimBase + c * kScratchStride,
-                                       local_bytes + 64};
-        StatusOr<kir::Executor> executor = kir::Executor::Create(
-            &program, config, std::move(core_bindings), engine, bytecode);
-        if (!executor.ok()) return executor.status();
-        if (recorder_ != nullptr && recorder_->counters_enabled()) {
-          executor->set_opcode_tally(agg[c].opcode_tally.data());
-        }
-        executor->set_host_time(interp_prof.sink(static_cast<int>(c)));
-
-        ShaderCoreSink sink(&hierarchy_, c, &atomic_lines);
-        // Job Manager: round-robin distribution across shader cores, over
-        // the launch's active group sub-range (the whole grid unless a
-        // co-execution backend split it).
-        for (std::uint64_t k = c; k < active_groups; k += cores) {
-          const std::uint64_t g = config.group_begin + k;
-          const std::uint64_t gx = g % group_dims[0];
-          const std::uint64_t gy = (g / group_dims[0]) % group_dims[1];
-          const std::uint64_t gz = g / (group_dims[0] * group_dims[1]);
-          MALI_RETURN_IF_ERROR(
-              executor->RunGroup({gx, gy, gz}, &sink, &agg[c].run));
-          ++agg[c].groups;
-        }
-        agg[c].l1_misses = sink.l1_misses;
-        agg[c].l2_misses = sink.l2_misses;
-      }
-    } else {
-      MALI_RETURN_IF_ERROR(RunGroupsParallel(program, config, bindings,
-                                             local_bytes, host_threads, engine,
-                                             bytecode, &agg, &atomic_lines));
-    }
-  }
-  interp_prof.Merge(program.name);
+  std::vector<kir::CoreRun> agg;
+  MALI_RETURN_IF_ERROR(
+      obs::RunWorkGroupsProfiled(host_prof, &launch, &pool_, &agg));
 
   // Phase 2 — timing model over the per-core aggregates.
   obs::HostProf::PhaseSpan merge_span(host_prof, obs::HostPhase::kMerge);
   double core_sec_max = 0.0;
   double busy_sec[power::kNumMaliCores] = {};
-  const bool recording = recorder_ != nullptr && recorder_->counters_enabled();
   std::vector<obs::CoreKernelCounters> core_counters(recording ? cores : 0);
 
   // Latency hiding from occupancy: resident threads overlap misses. The
@@ -278,8 +204,8 @@ StatusOr<GpuRunResult> MaliT604Device::Run(const CompiledKernel& kernel,
   for (std::uint32_t c = 0; c < cores; ++c) {
     const kir::WorkGroupRun& core_run = agg[c].run;
     const std::uint64_t groups_on_core = agg[c].groups;
-    const std::uint64_t core_l1_misses = agg[c].l1_misses;
-    const std::uint64_t core_l2_misses = agg[c].l2_misses;
+    const std::uint64_t core_l1_misses = sinks[c].l1_misses;
+    const std::uint64_t core_l2_misses = sinks[c].l2_misses;
 
     const PipeSlots slots = CountSlots(timing_, core_run.ops);
     // Intra-group load imbalance stretches issue time: the Job Manager
@@ -397,20 +323,7 @@ StatusOr<GpuRunResult> MaliT604Device::Run(const CompiledKernel& kernel,
     record.scope = record_scope_;
     record.seconds = seconds;
     record.cores = std::move(core_counters);
-    for (const CoreAggregate& a : agg) {
-      for (std::size_t op = 0; op < record.opcode_counts.size(); ++op) {
-        record.opcode_counts[op] += a.opcode_tally[op];
-      }
-    }
-    record.ops = result.run.ops;
-    record.loads = result.run.loads;
-    record.stores = result.run.stores;
-    record.load_bytes = result.run.load_bytes;
-    record.store_bytes = result.run.store_bytes;
-    record.atomics = result.run.atomics;
-    record.barriers_crossed = result.run.barriers_crossed;
-    record.work_items = result.run.work_items;
-    record.dram_bytes = hierarchy_.dram_bytes();
+    obs::FillLaunchCounts(agg, result.run, hierarchy_.dram_bytes(), &record);
     record.dram_bw_floor_sec = dram_sec;
     record.atomic_floor_sec = atomic_sec;
     record.live_reg_bytes = kernel.live_reg_bytes;
@@ -447,115 +360,6 @@ StatusOr<GpuRunResult> MaliT604Device::Run(const CompiledKernel& kernel,
     recorder_->AddKernel(std::move(record));
   }
   return result;
-}
-
-Status MaliT604Device::RunGroupsParallel(
-    const kir::Program& program, const kir::LaunchConfig& config,
-    const kir::Bindings& bindings, std::uint64_t local_bytes, int host_threads,
-    KirExec engine, std::shared_ptr<const kir::vm::CompiledProgram> bytecode,
-    std::vector<CoreAggregate>* agg,
-    std::unordered_map<std::uint64_t, std::uint64_t>* atomic_lines) {
-  const std::uint32_t cores = timing_.num_cores;
-  const std::uint64_t active_groups = config.active_groups();
-  const auto group_dims = config.num_groups();
-
-  // One task = (modelled core, contiguous chunk of that core's round-robin
-  // group list). Tasks are ordered core-major so replaying them in task
-  // order reproduces the serial engine's cache access order exactly.
-  struct GroupTask {
-    std::uint32_t core = 0;
-    std::uint64_t begin = 0;  // index into the core's round-robin sequence
-    std::uint64_t end = 0;
-  };
-  const std::uint64_t chunks_per_core = std::max<std::uint64_t>(
-      1, (4 * static_cast<std::uint64_t>(host_threads) + cores - 1) / cores);
-  std::vector<GroupTask> tasks;
-  for (std::uint32_t c = 0; c < cores; ++c) {
-    const std::uint64_t groups_on_core =
-        c < active_groups ? (active_groups - c + cores - 1) / cores : 0;
-    const std::uint64_t chunks =
-        std::min<std::uint64_t>(chunks_per_core,
-                                std::max<std::uint64_t>(groups_on_core, 1));
-    for (std::uint64_t k = 0; k < chunks; ++k) {
-      tasks.push_back({c, groups_on_core * k / chunks,
-                       groups_on_core * (k + 1) / chunks});
-    }
-  }
-
-  if (pool_ == nullptr || pool_->num_workers() != host_threads) {
-    pool_ = std::make_unique<ThreadPool>(host_threads);
-  }
-
-  std::vector<std::vector<kir::MemEvent>> task_events(tasks.size());
-  std::vector<kir::WorkGroupRun> task_runs(tasks.size());
-  std::vector<std::vector<std::byte>> task_scratch(tasks.size());
-  // Per-task opcode tallies (integer, hence commutative): workers fill them
-  // race-free and the canonical-order replay merges them per modelled core.
-  const bool recording = recorder_ != nullptr && recorder_->counters_enabled();
-  std::vector<std::array<std::uint64_t, kir::kNumOpcodeValues>> task_tallies(
-      recording ? tasks.size() : 0);
-
-  auto run_task = [&](std::size_t i) -> Status {
-    const GroupTask& task = tasks[i];
-    kir::Bindings task_bindings = bindings;
-    // Private zeroed __local backing; the simulated address stays the
-    // modelled core's scratch address so recorded streams match the serial
-    // engine's byte-for-byte.
-    task_scratch[i].assign(local_bytes + 64, std::byte{0});
-    task_bindings.local_scratch = {task_scratch[i].data(),
-                                   kScratchSimBase + task.core * kScratchStride,
-                                   local_bytes + 64};
-    StatusOr<kir::Executor> executor = kir::Executor::Create(
-        &program, config, std::move(task_bindings), engine, bytecode);
-    if (!executor.ok()) return executor.status();
-    if (recording) executor->set_opcode_tally(task_tallies[i].data());
-
-    kir::RecordingMemorySink sink(&task_events[i]);
-    for (std::uint64_t k = task.begin; k < task.end; ++k) {
-      const std::uint64_t g = config.group_begin + task.core + k * cores;
-      const std::uint64_t gx = g % group_dims[0];
-      const std::uint64_t gy = (g / group_dims[0]) % group_dims[1];
-      const std::uint64_t gz = g / (group_dims[0] * group_dims[1]);
-      MALI_RETURN_IF_ERROR(executor->RunGroup({gx, gy, gz}, &sink, &task_runs[i]));
-    }
-    return Status::Ok();
-  };
-
-  auto replay_task = [&](std::size_t i) -> Status {
-    const GroupTask& task = tasks[i];
-    CoreAggregate& a = (*agg)[task.core];
-    for (const kir::MemEvent& e : task_events[i]) {
-      if (e.kind == kir::MemEvent::kAtomic) {
-        const sim::AccessOutcome rd =
-            hierarchy_.Access(task.core, e.addr, e.bytes, /*is_write=*/false);
-        const sim::AccessOutcome wr =
-            hierarchy_.Access(task.core, e.addr, e.bytes, /*is_write=*/true);
-        a.l1_misses += rd.l1_misses + wr.l1_misses;
-        a.l2_misses += rd.l2_misses + wr.l2_misses;
-        if (e.addr < kScratchSimBase) ++(*atomic_lines)[e.addr / 64];
-      } else {
-        const sim::AccessOutcome out = hierarchy_.Access(
-            task.core, e.addr, e.bytes, e.kind == kir::MemEvent::kWrite);
-        a.l1_misses += out.l1_misses;
-        a.l2_misses += out.l2_misses;
-      }
-    }
-    a.run.MergeFrom(task_runs[i]);
-    a.groups += task.end - task.begin;
-    if (recording) {
-      for (std::size_t op = 0; op < a.opcode_tally.size(); ++op) {
-        a.opcode_tally[op] += task_tallies[i][op];
-      }
-    }
-    // Release buffered state as the replay cursor passes.
-    task_events[i] = {};
-    task_scratch[i] = {};
-    return Status::Ok();
-  };
-
-  return RunOrderedPipeline(pool_.get(), tasks.size(),
-                            static_cast<std::size_t>(options_.ResolvedWindow()),
-                            run_task, replay_task);
 }
 
 }  // namespace malisim::mali

@@ -4,12 +4,9 @@
 // and reports the activity profile for the power model.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
 #include "common/sim_options.h"
 #include "common/stats.h"
@@ -33,16 +30,10 @@ class FaultInjector;
 
 namespace malisim::mali {
 
-struct GpuRunResult {
-  /// Modelled kernel execution time, including driver launch overhead.
-  double seconds = 0.0;
-  /// Activity profile for the power model (CPU cores idle, GPU on).
-  power::ActivityProfile profile;
-  /// Functional execution counts aggregated over all shader cores.
-  kir::WorkGroupRun run;
-  /// Breakdown: per-core cycles, miss counts, bottleneck identification.
-  StatRegistry stats;
-};
+/// One Run(): modelled seconds including driver launch overhead, the
+/// activity profile (CPU cores idle, GPU on), counts merged over all shader
+/// cores, and per-core cycles and miss counts.
+using GpuRunResult = sim::DeviceRunResult;
 
 class MaliT604Device : public sim::Device {
  public:
@@ -69,13 +60,14 @@ class MaliT604Device : public sim::Device {
 
   const MaliTimingParams& timing() const { return timing_; }
 
-  /// Host-side execution options. With threads == 1 (default) work-groups
-  /// execute inline against the cache hierarchy, exactly as the original
-  /// serial engine did. With threads > 1 the functional phase runs
-  /// concurrently on a pool while recorded memory-event streams are
-  /// replayed into the caches in the serial engine's canonical order, so
-  /// modelled cycles/power/energy stay bit-identical. Host threads never
-  /// change the four modelled shader cores.
+  /// Host-side execution options. Work-groups run through
+  /// kir::RunWorkGroups: with threads == 1 (default) it is the same
+  /// pipeline run inline, with no pool, each core's accesses going straight
+  /// into the cache hierarchy. With threads > 1 the functional phase runs
+  /// concurrently on a pool and the recorded memory-event streams are
+  /// replayed into the caches in that same canonical order, so modelled
+  /// cycles/power/energy stay bit-identical. Host threads never change the
+  /// four modelled shader cores.
   void set_sim_options(const SimOptions& options) override {
     options_ = options;
   }
@@ -114,28 +106,6 @@ class MaliT604Device : public sim::Device {
                                            std::uint64_t budget = 64);
 
  private:
-  /// Functional results for one modelled shader core, produced by the
-  /// execution phase (serial or parallel) and consumed by the timing phase.
-  struct CoreAggregate {
-    kir::WorkGroupRun run;
-    std::uint64_t l1_misses = 0;
-    std::uint64_t l2_misses = 0;
-    std::uint64_t groups = 0;
-    /// Per-opcode dynamic counts; only filled while a recorder is attached.
-    std::array<std::uint64_t, kir::kNumOpcodeValues> opcode_tally{};
-  };
-
-  /// Record/replay execution across `host_threads` pool workers. `bytecode`
-  /// is the shared VM compilation when `engine` is kBytecode (null under
-  /// the interpreter).
-  Status RunGroupsParallel(
-      const kir::Program& program, const kir::LaunchConfig& config,
-      const kir::Bindings& bindings, std::uint64_t local_bytes,
-      int host_threads, KirExec engine,
-      std::shared_ptr<const kir::vm::CompiledProgram> bytecode,
-      std::vector<CoreAggregate>* agg,
-      std::unordered_map<std::uint64_t, std::uint64_t>* atomic_lines);
-
   MaliTimingParams timing_;
   sim::DeviceCaps caps_;
   sim::MemoryHierarchy hierarchy_;
@@ -145,8 +115,6 @@ class MaliT604Device : public sim::Device {
   fault::FaultInjector* fault_injector_ = nullptr;
   std::string record_scope_;
   std::unique_ptr<ThreadPool> pool_;
-  std::vector<std::unique_ptr<std::byte[]>> scratch_;
-  std::uint64_t scratch_bytes_ = 0;
 };
 
 }  // namespace malisim::mali

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/table.h"
+#include "kir/vm/bytecode.h"
 
 namespace malisim::obs {
 namespace {
@@ -345,6 +346,35 @@ void InterpProfile::Merge(const std::string& kernel) {
     prof_->MergeInterp(kernel, blocks_, sinks_[c], op_ns_[c].data(),
                        block_ns_[c].empty() ? nullptr : block_ns_[c].data());
   }
+}
+
+Status RunWorkGroupsProfiled(HostProf* prof, kir::GroupLaunch* launch,
+                             std::unique_ptr<ThreadPool>* pool,
+                             std::vector<kir::CoreRun>* out) {
+  const kir::Program& program = *launch->program;
+  const bool bytecode = launch->options.kir_exec == KirExec::kBytecode;
+  if (bytecode && launch->bytecode == nullptr) {
+    HostProf::PhaseSpan vm_span(prof, HostPhase::kVmCompile);
+    StatusOr<std::shared_ptr<const kir::vm::CompiledProgram>> compiled =
+        kir::vm::CompileProgram(program);
+    if (!compiled.ok()) return compiled.status();
+    launch->bytecode = *std::move(compiled);
+  }
+  InterpProfile interp(prof, program,
+                       static_cast<int>(launch->cores.size()));
+  for (std::size_t c = 0; c < launch->cores.size(); ++c) {
+    launch->cores[c].host_time = interp.sink(static_cast<int>(c));
+  }
+  {
+    HostProf::PhaseSpan execute_span(prof, HostPhase::kExecute);
+    // Spans are per-thread: pool workers must not open them.
+    HostProf::PhaseSpan vm_exec_span(
+        bytecode && launch->options.ResolvedThreads() <= 1 ? prof : nullptr,
+        HostPhase::kVmExec);
+    MALI_RETURN_IF_ERROR(kir::RunWorkGroups(*launch, pool, out));
+  }
+  interp.Merge(program.name);
+  return Status::Ok();
 }
 
 }  // namespace malisim::obs

@@ -33,11 +33,13 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/status.h"
 #include "kir/interp.h"
 #include "kir/opcode.h"
 #include "kir/program.h"
@@ -194,5 +196,14 @@ class InterpProfile {
   std::vector<std::vector<std::uint64_t>> block_ns_;
   std::vector<kir::HostTimeSink> sinks_;
 };
+
+/// kir::RunWorkGroups with host-time attribution, as both device models run
+/// it: compiles missing bytecode under the vm/compile span, arms each
+/// core's interpreter sampler, runs under the execute span (with vm/exec
+/// nested when the bytecode engine runs inline on this thread) and merges
+/// the samples under the program's name. `prof` may be null.
+Status RunWorkGroupsProfiled(HostProf* prof, kir::GroupLaunch* launch,
+                             std::unique_ptr<ThreadPool>* pool,
+                             std::vector<kir::CoreRun>* out);
 
 }  // namespace malisim::obs

@@ -6,6 +6,25 @@
 
 namespace malisim::obs {
 
+void FillLaunchCounts(std::span<const kir::CoreRun> cores,
+                      const kir::WorkGroupRun& run, std::uint64_t dram_bytes,
+                      KernelRecord* record) {
+  for (const kir::CoreRun& core : cores) {
+    for (std::size_t op = 0; op < record->opcode_counts.size(); ++op) {
+      record->opcode_counts[op] += core.opcode_tally[op];
+    }
+  }
+  record->ops = run.ops;
+  record->loads = run.loads;
+  record->stores = run.stores;
+  record->load_bytes = run.load_bytes;
+  record->store_bytes = run.store_bytes;
+  record->atomics = run.atomics;
+  record->barriers_crossed = run.barriers_crossed;
+  record->work_items = run.work_items;
+  record->dram_bytes = dram_bytes;
+}
+
 void Recorder::NoteRecordLocked() {
   if (!sealed_) return;
   ++late_records_;

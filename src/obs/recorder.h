@@ -17,10 +17,12 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "kir/exec_types.h"
+#include "kir/interp.h"
 #include "kir/opcode.h"
 #include "obs/counters.h"
 #include "obs/host_prof.h"
@@ -82,6 +84,14 @@ struct KernelRecord {
   double sched_factor = 1.0;
   power::ActivityProfile profile;
 };
+
+/// Fills the device-independent half of a launch's record: the opcode
+/// tally summed over the modelled cores, the merged functional counts and
+/// the launch's DRAM traffic. Each device adds its timing fields and its
+/// own bottleneck rule.
+void FillLaunchCounts(std::span<const kir::CoreRun> cores,
+                      const kir::WorkGroupRun& run, std::uint64_t dram_bytes,
+                      KernelRecord* record);
 
 /// One host-runtime command (transfer, map, fill, enqueue).
 struct CommandRecord {

@@ -372,9 +372,9 @@ class Context {
   void set_hetero_ratio(double ratio) { hetero_.set_ratio(ratio); }
 
   /// Host-side simulation options, forwarded to both device models.
-  /// threads == 1 (default) is the serial reference engine; threads > 1
-  /// enables the record/replay parallel engine, which is guaranteed to
-  /// produce bit-identical buffers, counts and modelled times.
+  /// threads == 1 (default) runs work-groups inline; threads > 1 runs them
+  /// on a pool with record/replay, which is guaranteed to produce
+  /// bit-identical buffers, counts and modelled times.
   void set_sim_options(const SimOptions& options) {
     sim_options_ = options;
     device_.set_sim_options(options);

@@ -114,12 +114,13 @@ StatusOr<JobSpec> ParseJobLine(std::string_view line);
 StatusOr<std::vector<JobSpec>> ParseJobFile(std::string_view text,
                                             std::uint64_t first_id = 0);
 
-/// Built-in load driver: `count` jobs cycling deterministically over the
-/// registered benchmarks, the ladder variants, both precisions and all
-/// backends — same `count` and `seed`, same jobs, forever. Quick problem
-/// sizes. fp64 is only paired with benchmarks/variants the paper runs in
-/// fp64 (the amcd erratum cell stays in: serve must handle build-failure
-/// jobs, that is the point of the ladder).
+/// Built-in load driver: `count` jobs, same `count` and `seed`, same jobs,
+/// forever. Job i runs benchmark i mod 9 (registry order) at quick problem
+/// sizes on the Mali backend, with its variant taken from a six-slot cycle
+/// over four variants (OpenCL-opt three times, OpenCL, Hetero, OpenMP; no
+/// Serial) and fp64 exactly when i % 5 == 3, whatever the benchmark. So
+/// the fp64 amcd erratum cell comes up too: serve must handle jobs that
+/// can only finish by degrading, which is the point of the ladder.
 std::vector<JobSpec> GenerateLoad(int count, std::uint64_t seed);
 
 }  // namespace malisim::serve

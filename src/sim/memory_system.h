@@ -11,6 +11,7 @@
 #include <memory>
 #include <vector>
 
+#include "kir/exec_types.h"
 #include "sim/cache.h"
 #include "sim/dram.h"
 
@@ -74,6 +75,30 @@ class MemoryHierarchy {
   static constexpr int kStreamHistory = 8;
   std::vector<std::uint64_t> fill_history_;  // num_cores * kStreamHistory
   std::vector<int> fill_history_pos_;        // per core, next slot to replace
+};
+
+/// Memory sink binding one modelled core's accesses to a hierarchy and
+/// counting that core's L1 and L2 misses. Atomics take the default
+/// read + write pair; device models override OnAtomic to add contention
+/// accounting.
+class CoreSink : public kir::MemorySink {
+ public:
+  CoreSink(MemoryHierarchy* hierarchy, std::uint32_t core)
+      : hierarchy_(hierarchy), core_(core) {}
+
+  void OnAccess(std::uint64_t addr, std::uint32_t bytes,
+                bool is_write) override {
+    const AccessOutcome out = hierarchy_->Access(core_, addr, bytes, is_write);
+    l1_misses += out.l1_misses;
+    l2_misses += out.l2_misses;
+  }
+
+  std::uint64_t l1_misses = 0;
+  std::uint64_t l2_misses = 0;
+
+ private:
+  MemoryHierarchy* hierarchy_;
+  std::uint32_t core_;
 };
 
 }  // namespace malisim::sim
