@@ -2,7 +2,8 @@
 
 #include <cstddef>
 #include <cstdlib>
-#include <cstring>
+
+#include "common/fnv1a.h"
 
 namespace malisim::fault {
 
@@ -55,36 +56,25 @@ bool FaultPlan::InjectionActive() const {
 }
 
 std::uint64_t FaultPlan::Hash() const {
-  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
-  const auto mix_u64 = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xffULL;
-      h *= 0x100000001b3ULL;
-    }
-  };
-  const auto mix_double = [&](double v) {
-    // Bit pattern, so 0.1 and 0.1000...1 hash differently; -0.0 vs 0.0 is
-    // a distinction without a difference but cannot occur from our flags.
-    std::uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    mix_u64(bits);
-  };
-  mix_u64(seed);
-  for (const double r : rates) mix_double(r);
-  mix_u64(fp64_erratum ? 1 : 0);
-  mix_u64(reg_budget ? 1 : 0);
-  mix_double(reg_squeeze_factor);
-  mix_double(throttle_time_factor);
-  mix_u64(static_cast<std::uint64_t>(retry.max_attempts));
-  mix_double(retry.base_backoff_sec);
-  mix_double(retry.multiplier);
+  // Doubles enter by bit pattern, so 0.1 and 0.1000...1 hash differently;
+  // -0.0 vs 0.0 is a distinction without a difference but cannot occur
+  // from our flags.
+  Fnv1a h;
+  h.Int(seed);
+  for (const double r : rates) h.Double(r);
+  h.Int(fp64_erratum ? 1 : 0);
+  h.Int(reg_budget ? 1 : 0);
+  h.Double(reg_squeeze_factor);
+  h.Double(throttle_time_factor);
+  h.Int(static_cast<std::uint64_t>(retry.max_attempts));
+  h.Double(retry.base_backoff_sec);
+  h.Double(retry.multiplier);
   // Mixed only when engaged so every pre-existing plan keeps its historical
   // hash (committed BENCH baselines carry those digests).
   if (retry.max_total_backoff_sec > 0.0) {
-    mix_double(retry.max_total_backoff_sec);
+    h.Double(retry.max_total_backoff_sec);
   }
-  return h;
+  return h.digest();
 }
 
 Status FaultPlan::ApplySpec(std::string_view spec) {

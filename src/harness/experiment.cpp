@@ -6,6 +6,7 @@
 #include <span>
 #include <string_view>
 
+#include "common/fnv1a.h"
 #include "common/log.h"
 #include "common/sim_options.h"
 #include "common/stats.h"
@@ -31,15 +32,12 @@ double Ratio(double num, double den) {
 /// lets RunAll farm benchmarks across threads without changing a digit.
 std::uint64_t MeterSeed(std::uint64_t base_seed, std::string_view name,
                         hpc::Variant variant) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  auto mix = [&h](std::uint64_t byte) {
-    h ^= byte;
-    h *= 0x100000001b3ULL;
-  };
-  for (const char c : name) mix(static_cast<unsigned char>(c));
-  mix(0xffULL);  // separator
-  mix(static_cast<std::uint64_t>(variant));
-  return h ^ base_seed ^ 0x57230ULL;
+  return Fnv1a()
+             .Bytes(name)
+             .Byte(0xff)  // separator
+             .Byte(static_cast<std::uint8_t>(variant))
+             .digest() ^
+         base_seed ^ 0x57230ULL;
 }
 
 /// Fault-plan seed for one (benchmark, precision) cell, mixed like
@@ -47,15 +45,8 @@ std::uint64_t MeterSeed(std::uint64_t base_seed, std::string_view name,
 /// order and host-thread count.
 std::uint64_t CellFaultSeed(std::uint64_t base_seed, std::string_view name,
                             bool fp64) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  auto mix = [&h](std::uint64_t byte) {
-    h ^= byte;
-    h *= 0x100000001b3ULL;
-  };
-  for (const char c : name) mix(static_cast<unsigned char>(c));
-  mix(0xffULL);  // separator
-  mix(fp64 ? 1 : 0);
-  return h ^ base_seed ^ 0xfa017ULL;
+  return Fnv1a().Bytes(name).Byte(0xff).Byte(fp64 ? 1 : 0).digest() ^
+         base_seed ^ 0xfa017ULL;
 }
 
 }  // namespace
@@ -144,7 +135,7 @@ StatusOr<BenchmarkResults> ExperimentRunner::RunBenchmarkImpl(
                   config_.fp64 ? "fp64" : "fp32");
     const std::string cell = name + "/" + std::string(hpc::VariantName(v));
     // Autotuned routing: a tuned config for this benchmark replaces the
-    // fixed paper kernel on the OpenCL-opt column only.
+    // paper point on the OpenCL-opt column only.
     const auto tuned_it = config_.tuned_configs.find(name);
     const sim::TuningConfig* tuned =
         tuned_it != config_.tuned_configs.end() ? &tuned_it->second : nullptr;

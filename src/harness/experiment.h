@@ -74,9 +74,10 @@ struct ExperimentConfig {
   /// Autotuned §III configurations, keyed by benchmark name (the --tune
   /// flag on the figure binaries fills this from harness::TuneBenchmark).
   /// When a benchmark has an entry, its OpenCL-opt column runs
-  /// RunTuned(config) instead of the fixed paper kernel; benchmarks
-  /// without an entry are untouched, so golden figures stay byte-identical
-  /// when the map is empty.
+  /// RunTuned(config) instead of the paper point (PaperOptConfig(), plus
+  /// the nbody/2dcon fallback ladder); benchmarks without an entry are
+  /// untouched, so golden figures stay byte-identical when the map is
+  /// empty.
   std::map<std::string, sim::TuningConfig> tuned_configs;
 };
 

@@ -94,7 +94,7 @@ struct JobExecRequest {
   /// the deadline. 0 = unbounded.
   double max_total_backoff_sec = 0.0;
   /// Tuned configuration applied on the kOpenCLOpt rung (nullptr = the
-  /// paper's fixed kernel).
+  /// paper point).
   const sim::TuningConfig* tuned = nullptr;
   power::PowerParams power;
   /// Shared pure-compile cache (nullptr = compile from scratch).

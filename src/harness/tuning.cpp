@@ -59,7 +59,7 @@ StatusOr<std::string> TuningFingerprint(const std::string& benchmark,
   blob += SizesKey(sizes);
   blob += '|';
   blob += *text;
-  return Hex64(sim::Fnv1a64(blob));
+  return Hex64(Fnv1a64(blob));
 }
 
 StatusOr<TuningReport> TuneBenchmark(const TuningRequest& request) {
@@ -135,7 +135,7 @@ StatusOr<TuningReport> TuneBenchmark(const TuningRequest& request) {
     StatusOr<fault::FaultPlan> plan = fault::FaultPlan::FromOptions(
         request.fault);
     if (!plan.ok()) return plan.status();
-    plan->seed ^= sim::Fnv1a64(request.benchmark + "/" +
+    plan->seed ^= Fnv1a64(request.benchmark + "/" +
                                config.CanonicalKey());
     fault::FaultInjector injector(*plan);
 

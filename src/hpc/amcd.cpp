@@ -73,22 +73,6 @@ class AmcdBenchmark final : public Benchmark {
     return Status::Ok();
   }
 
-  StatusOr<RunOutcome> Run(Variant variant, Devices& devices) override {
-    switch (variant) {
-      case Variant::kSerial:
-        return RunCpuVariant(devices, 1);
-      case Variant::kOpenMP:
-        return RunCpuVariant(devices, 2);
-      case Variant::kOpenCL:
-        return RunGpuVariant(devices, false);
-      case Variant::kOpenCLOpt:
-        return RunGpuVariant(devices, true);
-      case Variant::kHetero:
-        break;  // resolved by RunVariant; raw dispatch is invalid
-    }
-    return InvalidArgumentError("bad variant");
-  }
-
   // §III knobs: inner-j unroll factor and work-group size. In FP64 every
   // candidate hits the modelled compiler erratum at Build(), so the whole
   // search returns NotFound — the tuner-level analogue of the missing
@@ -106,58 +90,9 @@ class AmcdBenchmark final : public Benchmark {
     return config;
   }
 
-  StatusOr<RunOutcome> RunTuned(const sim::TuningConfig& config,
-                                Devices& devices) override {
-    MALI_CHECK(devices.gpu != nullptr);
-    const int unroll = static_cast<int>(config.Get("unroll", 2));
-    const std::uint64_t wg = static_cast<std::uint64_t>(config.Get("wg", 64));
-
-    StatusOr<kir::Program> program = BuildGpuTuned(unroll);
-    if (!program.ok()) return program.status();
-    ocl::Context& ctx = *devices.gpu;
-    const std::size_t total = static_cast<std::size_t>(chains_) * atoms_;
-    FpBuffer wx(fp64_, total), wy(fp64_, total), wz(fp64_, total);
-    CopyInit(&wx, &wy, &wz);
-
-    auto bx = detail::MakeGpuBuffer(ctx, wx.data(), wx.bytes());
-    if (!bx.ok()) return bx.status();
-    auto by = detail::MakeGpuBuffer(ctx, wy.data(), wy.bytes());
-    if (!by.ok()) return by.status();
-    auto bz = detail::MakeGpuBuffer(ctx, wz.data(), wz.bytes());
-    if (!bz.ok()) return bz.status();
-
-    const std::string kernel_name = program->name;
-    std::vector<kir::Program> kernels;
-    kernels.push_back(*std::move(program));
-    std::shared_ptr<ocl::Program> prog = ctx.CreateProgram(std::move(kernels));
-    MALI_RETURN_IF_ERROR(prog->Build());
-    auto kernel = ctx.CreateKernel(prog, kernel_name);
-    if (!kernel.ok()) return kernel.status();
-    MALI_RETURN_IF_ERROR((*kernel)->SetArgBuffer(0, *bx));
-    MALI_RETURN_IF_ERROR((*kernel)->SetArgBuffer(1, *by));
-    MALI_RETURN_IF_ERROR((*kernel)->SetArgBuffer(2, *bz));
-
-    devices.gpu->device().FlushCaches();
-    detail::GpuLaunch launch;
-    launch.kernel = kernel->get();
-    launch.global[0] = chains_;
-    const std::uint64_t tuned_local[3] = {detail::TunedLocalSize(chains_, wg),
-                                          1, 1};
-    launch.local = tuned_local;
-    StatusOr<RunOutcome> outcome = detail::RunGpuLaunches(devices, {&launch, 1});
-    if (!outcome.ok()) return outcome;
-
-    MALI_RETURN_IF_ERROR(detail::ReadGpuBuffer(ctx, **bx, wx.data(), wx.bytes()));
-    MALI_RETURN_IF_ERROR(detail::ReadGpuBuffer(ctx, **by, wy.data(), wy.bytes()));
-    MALI_RETURN_IF_ERROR(detail::ReadGpuBuffer(ctx, **bz, wz.data(), wz.bytes()));
-    detail::FinishValidation(&*outcome, PositionsError(wx, wy, wz), Tol());
-    return outcome;
-  }
-
   StatusOr<std::string> TunedKernelText(
       const sim::TuningConfig& config) const override {
-    StatusOr<kir::Program> program =
-        BuildGpuTuned(static_cast<int>(config.Get("unroll", 2)));
+    StatusOr<kir::Program> program = BuildGpuKernel(&config);
     if (!program.ok()) return program.status();
     return kir::ToText(*program);
   }
@@ -340,27 +275,20 @@ class AmcdBenchmark final : public Benchmark {
     return kb.Build();
   }
 
-  StatusOr<kir::Program> BuildGpuKernel(bool optimized) const {
-    KernelBuilder kb(optimized ? "amcd_cl_opt" : "amcd_cl");
-    auto px = kb.ArgBuffer("px", ft(), ArgKind::kBufferRW, optimized, false);
-    auto py = kb.ArgBuffer("py", ft(), ArgKind::kBufferRW, optimized, false);
-    auto pz = kb.ArgBuffer("pz", ft(), ArgKind::kBufferRW, optimized, false);
-    EmitChain(kb, kb.GlobalId(0), px, py, pz, optimized ? 2 : 1);
+  /// The naive kernel (`config` null) or the optimized one: §III-C
+  /// qualifiers and the j loop unrolled by the config's factor.
+  StatusOr<kir::Program> BuildGpuKernel(const sim::TuningConfig* config) const {
+    const bool opt = config != nullptr;
+    KernelBuilder kb(opt ? "amcd_cl_opt" : "amcd_cl");
+    auto px = kb.ArgBuffer("px", ft(), ArgKind::kBufferRW, opt, false);
+    auto py = kb.ArgBuffer("py", ft(), ArgKind::kBufferRW, opt, false);
+    auto pz = kb.ArgBuffer("pz", ft(), ArgKind::kBufferRW, opt, false);
+    EmitChain(kb, kb.GlobalId(0), px, py, pz,
+              opt ? static_cast<int>(config->Get("unroll", 2)) : 1);
     return kb.Build();
   }
 
-  /// The optimized kernel with the j-loop unroll as the free parameter
-  /// (the fixed opt kernel hard-codes unroll 2).
-  StatusOr<kir::Program> BuildGpuTuned(int unroll) const {
-    KernelBuilder kb("amcd_cl_tuned");
-    auto px = kb.ArgBuffer("px", ft(), ArgKind::kBufferRW, true, false);
-    auto py = kb.ArgBuffer("py", ft(), ArgKind::kBufferRW, true, false);
-    auto pz = kb.ArgBuffer("pz", ft(), ArgKind::kBufferRW, true, false);
-    EmitChain(kb, kb.GlobalId(0), px, py, pz, unroll);
-    return kb.Build();
-  }
-
-  StatusOr<RunOutcome> RunCpuVariant(Devices& devices, int threads) {
+  StatusOr<RunOutcome> RunCpuVariant(Devices& devices, int threads) override {
     StatusOr<kir::Program> program = BuildCpuKernel();
     if (!program.ok()) return program.status();
     const std::size_t total = static_cast<std::size_t>(chains_) * atoms_;
@@ -377,8 +305,9 @@ class AmcdBenchmark final : public Benchmark {
     return outcome;
   }
 
-  StatusOr<RunOutcome> RunGpuVariant(Devices& devices, bool optimized) {
-    StatusOr<kir::Program> program = BuildGpuKernel(optimized);
+  StatusOr<RunOutcome> RunGpuVariant(Devices& devices,
+                                     const sim::TuningConfig* config) override {
+    StatusOr<kir::Program> program = BuildGpuKernel(config);
     if (!program.ok()) return program.status();
     ocl::Context& ctx = *devices.gpu;
     const std::size_t total = static_cast<std::size_t>(chains_) * atoms_;
@@ -392,27 +321,16 @@ class AmcdBenchmark final : public Benchmark {
     auto bz = detail::MakeGpuBuffer(ctx, wz.data(), wz.bytes());
     if (!bz.ok()) return bz.status();
 
-    const std::string kernel_name = program->name;
-    std::vector<kir::Program> kernels;
-    kernels.push_back(*std::move(program));
-    std::shared_ptr<ocl::Program> prog = ctx.CreateProgram(std::move(kernels));
-    // In FP64 this is where the modelled compiler erratum fires
-    // (CL_BUILD_PROGRAM_FAILURE) — the caller reports the missing bar.
-    MALI_RETURN_IF_ERROR(prog->Build());
-    auto kernel = ctx.CreateKernel(prog, kernel_name);
-    if (!kernel.ok()) return kernel.status();
-    MALI_RETURN_IF_ERROR((*kernel)->SetArgBuffer(0, *bx));
-    MALI_RETURN_IF_ERROR((*kernel)->SetArgBuffer(1, *by));
-    MALI_RETURN_IF_ERROR((*kernel)->SetArgBuffer(2, *bz));
-
-    devices.gpu->device().FlushCaches();
-    detail::GpuLaunch launch;
-    launch.kernel = kernel->get();
-    launch.global[0] = chains_;
-    const std::uint64_t tuned_local[3] = {
-        detail::TunedLocalSize(chains_, 64), 1, 1};
-    launch.local = optimized ? tuned_local : nullptr;
-    StatusOr<RunOutcome> outcome = detail::RunGpuLaunches(devices, {&launch, 1});
+    // In FP64 the build inside RunGpuKernels is where the modelled compiler
+    // erratum fires (CL_BUILD_PROGRAM_FAILURE) — the caller reports the
+    // missing bar.
+    detail::GpuKernel kernel{*std::move(program), {*bx, *by, *bz}};
+    kernel.global[0] = chains_;
+    if (config != nullptr) {
+      kernel.local[0] = detail::TunedLocalSize(
+          chains_, static_cast<std::uint64_t>(config->Get("wg", 64)));
+    }
+    StatusOr<RunOutcome> outcome = detail::RunGpuKernels(devices, {&kernel, 1});
     if (!outcome.ok()) return outcome;
 
     MALI_RETURN_IF_ERROR(detail::ReadGpuBuffer(ctx, **bx, wx.data(), wx.bytes()));

@@ -94,10 +94,13 @@ class Benchmark {
   /// arithmetic precision. Deterministic in `seed`.
   virtual Status Setup(bool fp64, std::uint64_t seed) = 0;
 
-  /// Runs one of the four paper versions. Requires Setup. GPU variants may
-  /// fail with BuildFailure (amcd FP64 erratum) — the harness reports those
-  /// as the paper does (missing bars in Fig. 2b).
-  virtual StatusOr<RunOutcome> Run(Variant variant, Devices& devices) = 0;
+  /// Runs one of the four paper versions. Requires Setup. OpenCL Opt is
+  /// the optimized kernel at PaperOptConfig() — the code RunTuned runs —
+  /// plus, for nbody and 2dcon, a kernel ladder onto a milder kernel (see
+  /// RunPaperOpt). GPU variants may fail with BuildFailure (amcd FP64
+  /// erratum) — the harness reports those as the paper does (missing bars
+  /// in Fig. 2b).
+  StatusOr<RunOutcome> Run(Variant variant, Devices& devices);
 
   /// Runs any variant, including the kHetero pseudo-variant, which executes
   /// the optimized OpenCL version against devices.hetero (FailedPrecondition
@@ -109,29 +112,44 @@ class Benchmark {
 
   /// Declarative search space of the optimized OpenCL version's knobs
   /// (work-group size, vector width, unroll factor, buffer strategy,
-  /// kernel flavor). Empty space (the default) = not tunable.
-  virtual sim::TuningSpace TunableSpace() const { return {}; }
+  /// kernel flavor).
+  virtual sim::TuningSpace TunableSpace() const = 0;
 
-  /// The paper's hand-picked §III operating point inside TunableSpace().
-  /// The tuner conformance battery checks the searched winner matches or
-  /// beats this configuration under both time and energy objectives.
-  virtual sim::TuningConfig PaperOptConfig() const { return {}; }
+  /// The paper's hand-picked §III operating point inside TunableSpace():
+  /// the OpenCL Opt column of the figures. The tuner conformance battery
+  /// checks the searched winner matches or beats it under both time and
+  /// energy objectives.
+  virtual sim::TuningConfig PaperOptConfig() const = 0;
 
-  /// Runs the optimized OpenCL version parameterized by `config` against
-  /// devices.gpu. Requires Setup. Unimplemented for non-tunable
-  /// benchmarks. The fixed Run(kOpenCLOpt) path stays untouched so golden
-  /// figures are byte-identical; RunTuned(PaperOptConfig()) expresses the
-  /// same optimization decisions through the parameterized kernels.
-  virtual StatusOr<RunOutcome> RunTuned(const sim::TuningConfig& config,
-                                        Devices& devices);
+  /// Runs the optimized OpenCL version at `config` against devices.gpu,
+  /// once: no kernel ladder and no kernel-level retries, so a kernel over
+  /// the register budget fails and the tuner skips that candidate.
+  /// Requires Setup.
+  StatusOr<RunOutcome> RunTuned(const sim::TuningConfig& config,
+                                Devices& devices);
 
   /// Canonical KIR text of the kernel(s) RunTuned would launch at
   /// `config` — the content the tuning cache fingerprints. Requires Setup
   /// (kernels depend on precision and problem size).
   virtual StatusOr<std::string> TunedKernelText(
-      const sim::TuningConfig& config) const;
+      const sim::TuningConfig& config) const = 0;
 
  protected:
+  /// Serial (threads == 1) or OpenMP (threads == 2) on devices.cpu.
+  virtual StatusOr<RunOutcome> RunCpuVariant(Devices& devices,
+                                             int threads) = 0;
+
+  /// The benchmark's one GPU run body, against devices.gpu: the naive
+  /// OpenCL version when `config` is null (driver-chosen work-group size),
+  /// otherwise the optimized kernel at that point of TunableSpace().
+  virtual StatusOr<RunOutcome> RunGpuVariant(
+      Devices& devices, const sim::TuningConfig* config) = 0;
+
+  /// The OpenCL Opt column: RunGpuVariant at PaperOptConfig(). nbody and
+  /// 2dcon override it to fall back to a milder kernel when the paper's
+  /// does not fit the FP64 register budget (paper §V-A).
+  virtual StatusOr<RunOutcome> RunPaperOpt(Devices& devices);
+
   bool fp64_ = false;
   std::uint64_t seed_ = 0;
 };

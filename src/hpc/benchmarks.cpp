@@ -25,19 +25,33 @@ std::span<const Variant> FallbackVariants(Variant v) {
   return fault::RungsBelow(std::span<const Variant>(kDegradationLadder), v);
 }
 
-StatusOr<RunOutcome> Benchmark::RunTuned(const sim::TuningConfig& config,
-                                         Devices& devices) {
-  (void)config;
-  (void)devices;
-  return UnimplementedError("benchmark '" + name() +
-                            "' declares no tuning surface");
+StatusOr<RunOutcome> Benchmark::Run(Variant variant, Devices& devices) {
+  switch (variant) {
+    case Variant::kSerial:
+      return RunCpuVariant(devices, 1);
+    case Variant::kOpenMP:
+      return RunCpuVariant(devices, 2);
+    case Variant::kOpenCL:
+      MALI_CHECK(devices.gpu != nullptr);
+      return RunGpuVariant(devices, nullptr);
+    case Variant::kOpenCLOpt:
+      MALI_CHECK(devices.gpu != nullptr);
+      return RunPaperOpt(devices);
+    case Variant::kHetero:
+      break;  // resolved by RunVariant; raw dispatch is invalid
+  }
+  return InvalidArgumentError("bad variant");
 }
 
-StatusOr<std::string> Benchmark::TunedKernelText(
-    const sim::TuningConfig& config) const {
-  (void)config;
-  return UnimplementedError("benchmark '" + name() +
-                            "' declares no tuning surface");
+StatusOr<RunOutcome> Benchmark::RunTuned(const sim::TuningConfig& config,
+                                         Devices& devices) {
+  MALI_CHECK(devices.gpu != nullptr);
+  return RunGpuVariant(devices, &config);
+}
+
+StatusOr<RunOutcome> Benchmark::RunPaperOpt(Devices& devices) {
+  const sim::TuningConfig paper = PaperOptConfig();
+  return RunGpuVariant(devices, &paper);
 }
 
 StatusOr<RunOutcome> Benchmark::RunVariant(Variant variant, Devices& devices) {

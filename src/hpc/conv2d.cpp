@@ -18,7 +18,6 @@
 #include "common/prng.h"
 #include "hpc/detail.h"
 #include "hpc/kernels.h"
-#include "ocl/cl_error.h"
 
 namespace malisim::hpc {
 namespace {
@@ -76,22 +75,6 @@ class Conv2DBenchmark final : public Benchmark {
     return Status::Ok();
   }
 
-  StatusOr<RunOutcome> Run(Variant variant, Devices& devices) override {
-    switch (variant) {
-      case Variant::kSerial:
-        return RunCpuVariant(devices, 1);
-      case Variant::kOpenMP:
-        return RunCpuVariant(devices, 2);
-      case Variant::kOpenCL:
-        return RunGpuVariant(devices, false);
-      case Variant::kOpenCLOpt:
-        return RunGpuVariant(devices, true);
-      case Variant::kHetero:
-        break;  // resolved by RunVariant; raw dispatch is invalid
-    }
-    return InvalidArgumentError("bad variant");
-  }
-
   // §III knobs: kernel flavor (row-dot vs register-blocked quad-output)
   // and the 2D work-group shape. In FP64 the quad flavor exceeds the
   // register budget and those candidates are skipped, steering the search
@@ -114,63 +97,9 @@ class Conv2DBenchmark final : public Benchmark {
     return config;
   }
 
-  StatusOr<RunOutcome> RunTuned(const sim::TuningConfig& config,
-                                Devices& devices) override {
-    MALI_CHECK(devices.gpu != nullptr);
-    const bool quad = config.Get("quad", 1) != 0;
-    const std::uint64_t wgx = static_cast<std::uint64_t>(config.Get("wgx", 16));
-    const std::uint64_t wgy = static_cast<std::uint64_t>(config.Get("wgy", 16));
-
-    StatusOr<kir::Program> program = BuildGpuKernel(
-        "2dcon_cl_tuned", quad ? Flavor::kQuadOut : Flavor::kRowDot, true);
-    if (!program.ok()) return program.status();
-    ocl::Context& ctx = *devices.gpu;
-    auto in = detail::MakeGpuBuffer(ctx, in_.data(), in_.bytes());
-    if (!in.ok()) return in.status();
-    auto filt = detail::MakeGpuBuffer(ctx, filt_.data(), filt_.bytes());
-    if (!filt.ok()) return filt.status();
-    auto out = detail::MakeGpuBuffer(ctx, nullptr, in_.bytes());
-    if (!out.ok()) return out.status();
-
-    const std::string kernel_name = program->name;
-    std::vector<kir::Program> kernels;
-    kernels.push_back(*std::move(program));
-    std::shared_ptr<ocl::Program> prog = ctx.CreateProgram(std::move(kernels));
-    MALI_RETURN_IF_ERROR(prog->Build());
-    auto kernel = ctx.CreateKernel(prog, kernel_name);
-    if (!kernel.ok()) return kernel.status();
-    MALI_RETURN_IF_ERROR((*kernel)->SetArgBuffer(0, *in));
-    MALI_RETURN_IF_ERROR((*kernel)->SetArgBuffer(1, *filt));
-    MALI_RETURN_IF_ERROR((*kernel)->SetArgBuffer(2, *out));
-    MALI_RETURN_IF_ERROR(
-        (*kernel)->SetArgI32(3, static_cast<std::int32_t>(dim_)));
-
-    devices.gpu->device().FlushCaches();
-    detail::GpuLaunch launch;
-    launch.kernel = kernel->get();
-    launch.work_dim = 2;
-    const std::uint64_t grid = quad ? dim_ / 4 : dim_;
-    launch.global[0] = grid;
-    launch.global[1] = grid;
-    const std::uint64_t tuned_local[3] = {detail::TunedLocalSize(grid, wgx),
-                                          detail::TunedLocalSize(grid, wgy), 1};
-    launch.local = tuned_local;
-    StatusOr<RunOutcome> outcome = detail::RunGpuLaunches(devices, {&launch, 1});
-    if (!outcome.ok()) return outcome;
-
-    const std::size_t total = static_cast<std::size_t>(dim_) * dim_;
-    FpBuffer result(fp64_, total);
-    MALI_RETURN_IF_ERROR(
-        detail::ReadGpuBuffer(ctx, **out, result.data(), result.bytes()));
-    detail::FinishValidation(&*outcome, detail::MaxRelError(result, ref_), tol());
-    return outcome;
-  }
-
   StatusOr<std::string> TunedKernelText(
       const sim::TuningConfig& config) const override {
-    StatusOr<kir::Program> program = BuildGpuKernel(
-        "2dcon_cl_tuned",
-        config.Get("quad", 1) != 0 ? Flavor::kQuadOut : Flavor::kRowDot, true);
+    StatusOr<kir::Program> program = BuildGpuKernel(&config);
     if (!program.ok()) return program.status();
     return kir::ToText(*program);
   }
@@ -299,9 +228,18 @@ class Conv2DBenchmark final : public Benchmark {
     return kb.Build();
   }
 
-  StatusOr<kir::Program> BuildGpuKernel(const std::string& kernel_name,
-                                        Flavor flavor, bool qualified) const {
-    KernelBuilder kb(kernel_name);
+  /// The naive kernel (`config` null: scalar taps) or the optimized one at
+  /// `config`: quad-output or row-dot flavor, with the §III-C qualifiers.
+  StatusOr<kir::Program> BuildGpuKernel(const sim::TuningConfig* config) const {
+    const bool qualified = config != nullptr;
+    Flavor flavor = Flavor::kScalar;
+    std::string name = "2dcon_cl";
+    if (qualified) {
+      const bool quad = config->Get("quad", 1) != 0;
+      flavor = quad ? Flavor::kQuadOut : Flavor::kRowDot;
+      name = quad ? "2dcon_cl_opt" : "2dcon_cl_opt_mild";
+    }
+    KernelBuilder kb(name);
     auto in = kb.ArgBuffer("in", ft(), ArgKind::kBufferRO, qualified, qualified);
     auto filt = kb.ArgBuffer("filt", ft(), ArgKind::kBufferRO, qualified,
                              qualified);
@@ -350,7 +288,7 @@ class Conv2DBenchmark final : public Benchmark {
     return kb.Build();
   }
 
-  StatusOr<RunOutcome> RunCpuVariant(Devices& devices, int threads) {
+  StatusOr<RunOutcome> RunCpuVariant(Devices& devices, int threads) override {
     StatusOr<kir::Program> program = BuildCpuKernel();
     if (!program.ok()) return program.status();
     const std::size_t total = static_cast<std::size_t>(dim_) * dim_;
@@ -368,7 +306,34 @@ class Conv2DBenchmark final : public Benchmark {
     return outcome;
   }
 
-  StatusOr<RunOutcome> RunGpuVariant(Devices& devices, bool optimized) {
+  StatusOr<RunOutcome> RunGpuVariant(Devices& devices,
+                                     const sim::TuningConfig* config) override {
+    // The naive kernel runs as a one-rung ladder (transient faults
+    // retried); a tuner candidate runs once.
+    return RunGpuRungs(devices, {&config, 1}, /*ladder=*/config == nullptr);
+  }
+
+  // The quad-output kernel's register appetite trips CL_OUT_OF_RESOURCES in
+  // DP and falls back to the row-dot kernel (paper §V-A); injected
+  // compiler/queue faults walk the same rungs.
+  StatusOr<RunOutcome> RunPaperOpt(Devices& devices) override {
+    const sim::TuningConfig paper = PaperOptConfig();
+    sim::TuningConfig mild;
+    mild.Set("quad", 0);
+    mild.Set("wgx", 32);
+    mild.Set("wgy", 8);
+    const sim::TuningConfig* rungs[] = {&paper, &mild};
+    return RunGpuRungs(devices, rungs, /*ladder=*/true);
+  }
+
+  /// The GPU run body. Each rung is one kernel (null = the naive one); the
+  /// rungs share one set of buffers, made once up front so a fallback does
+  /// not shift the fault schedule. With `ladder` they are the kernel rungs
+  /// of the degradation ladder (detail::RunKernelLadder); without it the
+  /// single rung runs once.
+  StatusOr<RunOutcome> RunGpuRungs(
+      Devices& devices, std::span<const sim::TuningConfig* const> rungs,
+      bool ladder) {
     ocl::Context& ctx = *devices.gpu;
     auto in = detail::MakeGpuBuffer(ctx, in_.data(), in_.bytes());
     if (!in.ok()) return in.status();
@@ -377,29 +342,33 @@ class Conv2DBenchmark final : public Benchmark {
     auto out = detail::MakeGpuBuffer(ctx, nullptr, in_.bytes());
     if (!out.ok()) return out.status();
 
-    // Kernel rungs of the degradation ladder: the quad-output kernel's
-    // register appetite trips CL_OUT_OF_RESOURCES in DP and falls back to
-    // the row-dot kernel (paper §V-A); injected compiler/queue faults walk
-    // the same rungs.
-    std::vector<detail::KernelRung> rungs;
-    if (optimized) {
-      rungs.push_back({"quad-output kernel", [&] {
-                         return TryGpu(devices, "2dcon_cl_opt",
-                                       Flavor::kQuadOut, true, *in, *filt,
-                                       *out);
-                       }});
-      rungs.push_back({"row-dot kernel", [&] {
-                         return TryGpu(devices, "2dcon_cl_opt_mild",
-                                       Flavor::kRowDot, true, *in, *filt,
-                                       *out);
-                       }});
-    } else {
-      rungs.push_back({"naive scalar kernel", [&] {
-                         return TryGpu(devices, "2dcon_cl", Flavor::kScalar,
-                                       false, *in, *filt, *out);
-                       }});
+    auto run = [&](const sim::TuningConfig* config) -> StatusOr<RunOutcome> {
+      StatusOr<kir::Program> program = BuildGpuKernel(config);
+      if (!program.ok()) return program.status();
+      detail::GpuKernel kernel{*std::move(program),
+                               {*in, *filt, *out,
+                                static_cast<std::int32_t>(dim_)}};
+      // dim0/dim1 index 4x4 output tiles in the quad-output flavor.
+      const bool quad = config != nullptr && config->Get("quad", 1) != 0;
+      const std::uint64_t grid = quad ? dim_ / 4 : dim_;
+      kernel.work_dim = 2;
+      kernel.global[0] = grid;
+      kernel.global[1] = grid;
+      if (config != nullptr) {
+        kernel.local[0] = detail::TunedLocalSize(
+            grid, static_cast<std::uint64_t>(config->Get("wgx", 16)));
+        kernel.local[1] = detail::TunedLocalSize(
+            grid, static_cast<std::uint64_t>(config->Get("wgy", 16)));
+      }
+      return detail::RunGpuKernels(devices, {&kernel, 1});
+    };
+    std::vector<detail::KernelRung> kernel_rungs;
+    for (const sim::TuningConfig* config : rungs) {
+      kernel_rungs.push_back(
+          {KernelLabel(config), [&run, config] { return run(config); }});
     }
-    StatusOr<RunOutcome> outcome = detail::RunKernelLadder(devices, rungs);
+    StatusOr<RunOutcome> outcome =
+        ladder ? detail::RunKernelLadder(devices, kernel_rungs) : run(rungs[0]);
     if (!outcome.ok()) return outcome;
 
     const std::size_t total = static_cast<std::size_t>(dim_) * dim_;
@@ -410,45 +379,11 @@ class Conv2DBenchmark final : public Benchmark {
     return outcome;
   }
 
-  StatusOr<RunOutcome> TryGpu(Devices& devices, const std::string& kernel_name,
-                              Flavor flavor, bool tuned,
-                              const std::shared_ptr<ocl::Buffer>& in,
-                              const std::shared_ptr<ocl::Buffer>& filt,
-                              const std::shared_ptr<ocl::Buffer>& out) {
-    StatusOr<kir::Program> program = BuildGpuKernel(kernel_name, flavor, tuned);
-    if (!program.ok()) return program.status();
-    ocl::Context& ctx = *devices.gpu;
-    std::vector<kir::Program> kernels;
-    kernels.push_back(*std::move(program));
-    std::shared_ptr<ocl::Program> prog = ctx.CreateProgram(std::move(kernels));
-    MALI_RETURN_IF_ERROR(prog->Build());
-    auto kernel = ctx.CreateKernel(prog, kernel_name);
-    if (!kernel.ok()) return kernel.status();
-    MALI_RETURN_IF_ERROR((*kernel)->SetArgBuffer(0, in));
-    MALI_RETURN_IF_ERROR((*kernel)->SetArgBuffer(1, filt));
-    MALI_RETURN_IF_ERROR((*kernel)->SetArgBuffer(2, out));
-    MALI_RETURN_IF_ERROR(
-        (*kernel)->SetArgI32(3, static_cast<std::int32_t>(dim_)));
-
-    devices.gpu->device().FlushCaches();
-    detail::GpuLaunch launch;
-    launch.kernel = kernel->get();
-    launch.work_dim = 2;
-    const std::uint64_t tuned_local[3] = {detail::TunedLocalSize(dim_, 32),
-                                          detail::TunedLocalSize(dim_, 8), 1};
-    const std::uint64_t tuned_local_quad[3] = {
-        detail::TunedLocalSize(dim_ / 4, 16),
-        detail::TunedLocalSize(dim_ / 4, 16), 1};
-    if (flavor == Flavor::kQuadOut) {
-      launch.global[0] = dim_ / 4;
-      launch.global[1] = dim_ / 4;
-      launch.local = tuned_local_quad;
-    } else {
-      launch.global[0] = dim_;
-      launch.global[1] = dim_;
-      launch.local = tuned ? tuned_local : nullptr;
-    }
-    return detail::RunGpuLaunches(devices, {&launch, 1});
+  /// Kernel label in fallback notes ("... for quad-output kernel").
+  static std::string KernelLabel(const sim::TuningConfig* config) {
+    if (config == nullptr) return "naive scalar kernel";
+    return config->Get("quad", 1) != 0 ? "quad-output kernel"
+                                       : "row-dot kernel";
   }
 
   std::uint32_t dim_;

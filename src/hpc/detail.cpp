@@ -55,28 +55,51 @@ StatusOr<std::shared_ptr<ocl::Buffer>> MakeGpuBuffer(ocl::Context& context,
   return *std::move(buffer);
 }
 
-StatusOr<RunOutcome> RunGpuLaunches(Devices& devices,
-                                    std::span<GpuLaunch> launches) {
+StatusOr<RunOutcome> RunGpuKernels(Devices& devices,
+                                   std::span<const GpuKernel> kernels) {
   MALI_CHECK(devices.gpu != nullptr);
-  const double watchdog = devices.gpu->sim_options().fault.watchdog_sec;
+  ocl::Context& ctx = *devices.gpu;
+  std::vector<kir::Program> programs;
+  for (const GpuKernel& k : kernels) programs.push_back(k.program);
+  std::shared_ptr<ocl::Program> prog = ctx.CreateProgram(std::move(programs));
+  MALI_RETURN_IF_ERROR(prog->Build());
+  std::vector<std::shared_ptr<ocl::Kernel>> bound;
+  for (std::size_t i = 0; i < kernels.size(); ++i) {
+    StatusOr<std::shared_ptr<ocl::Kernel>> kernel =
+        ctx.CreateKernel(prog, kernels[i].program.name);
+    if (!kernel.ok()) return kernel.status();
+    for (std::size_t a = 0; a < kernels[i].args.size(); ++a) {
+      const auto index = static_cast<std::uint32_t>(a);
+      const auto& arg = kernels[i].args[a];
+      MALI_RETURN_IF_ERROR(
+          std::holds_alternative<std::int32_t>(arg)
+              ? (*kernel)->SetArgI32(index, std::get<std::int32_t>(arg))
+              : (*kernel)->SetArgBuffer(
+                    index, std::get<std::shared_ptr<ocl::Buffer>>(arg)));
+    }
+    bound.push_back(*std::move(kernel));
+  }
+
+  ctx.device().FlushCaches();
+  const double watchdog = ctx.sim_options().fault.watchdog_sec;
   RunOutcome outcome;
   std::vector<power::ActivityProfile> profiles;
-  for (GpuLaunch& launch : launches) {
-    MALI_CHECK(launch.kernel != nullptr);
-    StatusOr<ocl::Event> event = devices.gpu->queue().EnqueueNDRange(
-        *launch.kernel, launch.work_dim, launch.global, launch.local);
+  for (std::size_t i = 0; i < kernels.size(); ++i) {
+    const GpuKernel& k = kernels[i];
+    const bool driver_local = k.local[0] == 0;
+    StatusOr<ocl::Event> event = ctx.queue().EnqueueNDRange(
+        *bound[i], k.work_dim, k.global, driver_local ? nullptr : k.local);
     if (!event.ok()) return event.status();
     if (watchdog > 0.0 && event->seconds > watchdog) {
-      fault::FaultInjector* injector = devices.gpu->fault_injector();
+      fault::FaultInjector* injector = ctx.fault_injector();
       const std::string detail = "modelled " + std::to_string(event->seconds) +
                                  " s > budget " + std::to_string(watchdog) +
                                  " s";
       if (injector != nullptr) {
-        injector->RecordAction("watchdog", launch.kernel->name(), "aborted",
-                               detail);
+        injector->RecordAction("watchdog", k.program.name, "aborted", detail);
       }
-      return DeadlineExceededError("watchdog: kernel '" +
-                                   launch.kernel->name() + "' " + detail);
+      return DeadlineExceededError("watchdog: kernel '" + k.program.name +
+                                   "' " + detail);
     }
     outcome.seconds += event->seconds;
     profiles.push_back(event->profile);

@@ -8,6 +8,7 @@
 #include <span>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "hpc/benchmark.h"
@@ -87,22 +88,28 @@ StatusOr<std::shared_ptr<ocl::Buffer>> MakeGpuBuffer(ocl::Context& context,
                                                      const void* src,
                                                      std::uint64_t bytes);
 
-/// One enqueued kernel of a GPU variant's measured region.
-struct GpuLaunch {
-  ocl::Kernel* kernel = nullptr;
+/// One kernel of a GPU variant's measured region: KIR source, positional
+/// arguments (buffers and i32 scalars in declaration order, as OpenCL
+/// numbers them) and NDRange.
+struct GpuKernel {
+  kir::Program program;
+  std::vector<std::variant<std::shared_ptr<ocl::Buffer>, std::int32_t>> args;
   std::uint32_t work_dim = 1;
   std::uint64_t global[3] = {1, 1, 1};
-  /// nullptr = let the driver heuristic choose (the naive variants).
-  const std::uint64_t* local = nullptr;
+  /// All zero = let the driver heuristic choose (the naive variants).
+  std::uint64_t local[3] = {0, 0, 0};
 };
 
-/// Enqueues the launches in order, merging events into one outcome. When
-/// the GPU context's SimOptions carry a per-kernel watchdog budget
-/// (fault.watchdog_sec > 0), a launch whose modelled time exceeds it
-/// aborts the region with DeadlineExceeded — a degradable error, so the
-/// kernel ladder (or the harness variant ladder) can fall back.
-StatusOr<RunOutcome> RunGpuLaunches(Devices& devices,
-                                    std::span<GpuLaunch> launches);
+/// Builds the kernels as one program on devices.gpu (where the modelled
+/// compiler erratum and injected build faults surface), binds their
+/// arguments, flushes the GPU caches (every variant starts cold) and
+/// enqueues them in order, merging events into one outcome. When the GPU
+/// context's SimOptions carry a per-kernel watchdog budget
+/// (fault.watchdog_sec > 0), a launch whose modelled time exceeds it aborts
+/// the region with DeadlineExceeded — a degradable error, so the kernel
+/// ladder (or the harness variant ladder) can fall back.
+StatusOr<RunOutcome> RunGpuKernels(Devices& devices,
+                                   std::span<const GpuKernel> kernels);
 
 /// One rung of a benchmark-internal kernel ladder: the human-readable
 /// kernel label used in figure notes ("vector-gather kernel") plus a thunk
@@ -127,9 +134,9 @@ StatusOr<RunOutcome> RunKernelLadder(Devices& devices,
 Status ReadGpuBuffer(ocl::Context& context, ocl::Buffer& buffer, void* dst,
                      std::uint64_t bytes);
 
-/// Buffer factory for tuned runs, expressing the §III-A map-vs-copy knob.
-/// copy_path == false is the zero-copy CL_MEM_ALLOC_HOST_PTR map path the
-/// paper recommends (and the golden runs use); copy_path == true is the
+/// Buffer factory expressing the §III-A map-vs-copy knob. copy_path ==
+/// false is the zero-copy CL_MEM_ALLOC_HOST_PTR map path the paper
+/// recommends (and the figure columns use); copy_path == true is the
 /// discrete-GPU-style plain buffer with modelled EnqueueWrite/ReadBuffer
 /// transfers. The copy path accumulates the transfer events here and
 /// ChargeTransfers folds them into an outcome — on the shared-memory Mali

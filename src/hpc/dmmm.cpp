@@ -55,22 +55,6 @@ class DmmmBenchmark final : public Benchmark {
     return Status::Ok();
   }
 
-  StatusOr<RunOutcome> Run(Variant variant, Devices& devices) override {
-    switch (variant) {
-      case Variant::kSerial:
-        return RunCpuVariant(devices, 1);
-      case Variant::kOpenMP:
-        return RunCpuVariant(devices, 2);
-      case Variant::kOpenCL:
-        return RunGpuVariant(devices, false);
-      case Variant::kOpenCLOpt:
-        return RunGpuVariant(devices, true);
-      case Variant::kHetero:
-        break;  // resolved by RunVariant; raw dispatch is invalid
-    }
-    return InvalidArgumentError("bad variant");
-  }
-
   // §III knobs: output vector width (B-row vload width = outputs per
   // work-item), k-loop unroll factor, and the square work-group tile edge.
   sim::TuningSpace TunableSpace() const override {
@@ -90,62 +74,9 @@ class DmmmBenchmark final : public Benchmark {
     return config;
   }
 
-  StatusOr<RunOutcome> RunTuned(const sim::TuningConfig& config,
-                                Devices& devices) override {
-    MALI_CHECK(devices.gpu != nullptr);
-    const int vec = static_cast<int>(config.Get("vec", 4));
-    const int unroll = static_cast<int>(config.Get("unroll", 4));
-    const std::uint64_t tile = static_cast<std::uint64_t>(config.Get("tile", 16));
-
-    StatusOr<kir::Program> program = BuildGpuTuned(vec, unroll);
-    if (!program.ok()) return program.status();
-    ocl::Context& ctx = *devices.gpu;
-    auto a = detail::MakeGpuBuffer(ctx, a_.data(), a_.bytes());
-    if (!a.ok()) return a.status();
-    auto b = detail::MakeGpuBuffer(ctx, b_.data(), b_.bytes());
-    if (!b.ok()) return b.status();
-    auto c = detail::MakeGpuBuffer(ctx, nullptr, a_.bytes());
-    if (!c.ok()) return c.status();
-
-    const std::string kernel_name = program->name;
-    std::vector<kir::Program> kernels;
-    kernels.push_back(*std::move(program));
-    std::shared_ptr<ocl::Program> prog = ctx.CreateProgram(std::move(kernels));
-    MALI_RETURN_IF_ERROR(prog->Build());
-    auto kernel = ctx.CreateKernel(prog, kernel_name);
-    if (!kernel.ok()) return kernel.status();
-    MALI_RETURN_IF_ERROR((*kernel)->SetArgBuffer(0, *a));
-    MALI_RETURN_IF_ERROR((*kernel)->SetArgBuffer(1, *b));
-    MALI_RETURN_IF_ERROR((*kernel)->SetArgBuffer(2, *c));
-    MALI_RETURN_IF_ERROR(
-        (*kernel)->SetArgI32(3, static_cast<std::int32_t>(n_)));
-
-    devices.gpu->device().FlushCaches();
-    detail::GpuLaunch launch;
-    launch.kernel = kernel->get();
-    launch.work_dim = 2;
-    launch.global[0] = n_ / static_cast<std::uint64_t>(vec);
-    launch.global[1] = n_;
-    const std::uint64_t tuned_local[3] = {
-        detail::TunedLocalSize(launch.global[0], tile),
-        detail::TunedLocalSize(n_, tile), 1};
-    launch.local = tuned_local;
-    StatusOr<RunOutcome> outcome = detail::RunGpuLaunches(devices, {&launch, 1});
-    if (!outcome.ok()) return outcome;
-
-    const std::size_t total = static_cast<std::size_t>(n_) * n_;
-    FpBuffer result(fp64_, total);
-    MALI_RETURN_IF_ERROR(
-        detail::ReadGpuBuffer(ctx, **c, result.data(), result.bytes()));
-    detail::FinishValidation(&*outcome, detail::MaxRelError(result, ref_), tol());
-    return outcome;
-  }
-
   StatusOr<std::string> TunedKernelText(
       const sim::TuningConfig& config) const override {
-    StatusOr<kir::Program> program =
-        BuildGpuTuned(static_cast<int>(config.Get("vec", 4)),
-                      static_cast<int>(config.Get("unroll", 4)));
+    StatusOr<kir::Program> program = BuildGpuOpt(config);
     if (!program.ok()) return program.status();
     return kir::ToText(*program);
   }
@@ -196,36 +127,14 @@ class DmmmBenchmark final : public Benchmark {
   }
 
   // Opt (§III-B: vectorization + unrolling + tuned work-group size): each
-  // work-item computes C[i, 4j..4j+3] with a float4 accumulator; per k the
-  // B row contributes a contiguous vload4 and A contributes one splat
-  // scalar. The k loop is hand-unrolled by four.
-  StatusOr<kir::Program> BuildGpuOpt() const {
+  // work-item computes `vec` adjacent outputs C[i, vec*j ..] with a vector
+  // accumulator; per k the B row contributes a contiguous vload and A one
+  // splat scalar. The k loop is hand-unrolled by `unroll`. vec == 1 is the
+  // scalar-accumulator form with the §III-C qualifiers.
+  StatusOr<kir::Program> BuildGpuOpt(const sim::TuningConfig& config) const {
+    const int vec = static_cast<int>(config.Get("vec", 4));
+    const int unroll = static_cast<int>(config.Get("unroll", 4));
     KernelBuilder kb("dmmm_cl_opt");
-    auto a = kb.ArgBuffer("a", ft(), ArgKind::kBufferRO, true, true);
-    auto b = kb.ArgBuffer("b", ft(), ArgKind::kBufferRO, true, true);
-    auto c = kb.ArgBuffer("c", ft(), ArgKind::kBufferWO, true, false);
-    Val n = kb.ArgScalar("n", kir::ScalarType::kI32);
-    const kir::Type FT4 = kir::FloatType(fp64_, 4);
-    Val i = kb.GlobalId(1);
-    Val j4 = kb.Binary(Opcode::kMul, kb.GlobalId(0), kb.ConstI(kir::I32(), 4));
-    Val row_base = kb.Binary(Opcode::kMul, i, n);
-    Val acc4 = kb.Var(FT4, "acc4");
-    kb.Assign(acc4, detail::FConst(kb, fp64_, 0.0, 4));
-    kb.ForUnrolled("k", kb.ConstI(kir::I32(), 0), n, 1, 4, [&](Val k) {
-      Val av = kb.Splat(kb.Load(a, kb.Binary(Opcode::kAdd, row_base, k)), 4);
-      Val b4 = kb.Load(b, kb.Binary(Opcode::kAdd,
-                                    kb.Binary(Opcode::kMul, k, n), j4),
-                       0, 4);
-      kb.Assign(acc4, kb.Fma(av, b4, acc4));
-    });
-    kb.Store(c, kb.Binary(Opcode::kAdd, row_base, j4), acc4);
-    return kb.Build();
-  }
-
-  /// BuildGpuOpt generalized over output width and k unroll. vec == 1 is
-  /// the scalar-accumulator form with the §III-C qualifiers.
-  StatusOr<kir::Program> BuildGpuTuned(int vec, int unroll) const {
-    KernelBuilder kb("dmmm_cl_tuned");
     auto a = kb.ArgBuffer("a", ft(), ArgKind::kBufferRO, true, true);
     auto b = kb.ArgBuffer("b", ft(), ArgKind::kBufferRO, true, true);
     auto c = kb.ArgBuffer("c", ft(), ArgKind::kBufferWO, true, false);
@@ -270,7 +179,7 @@ class DmmmBenchmark final : public Benchmark {
     return kb.Build();
   }
 
-  StatusOr<RunOutcome> RunCpuVariant(Devices& devices, int threads) {
+  StatusOr<RunOutcome> RunCpuVariant(Devices& devices, int threads) override {
     StatusOr<kir::Program> program = BuildCpuKernel();
     if (!program.ok()) return program.status();
     const std::size_t total = static_cast<std::size_t>(n_) * n_;
@@ -286,9 +195,10 @@ class DmmmBenchmark final : public Benchmark {
     return outcome;
   }
 
-  StatusOr<RunOutcome> RunGpuVariant(Devices& devices, bool optimized) {
+  StatusOr<RunOutcome> RunGpuVariant(Devices& devices,
+                                     const sim::TuningConfig* config) override {
     StatusOr<kir::Program> program =
-        optimized ? BuildGpuOpt() : BuildGpuNaive();
+        config != nullptr ? BuildGpuOpt(*config) : BuildGpuNaive();
     if (!program.ok()) return program.status();
     ocl::Context& ctx = *devices.gpu;
     auto a = detail::MakeGpuBuffer(ctx, a_.data(), a_.bytes());
@@ -298,36 +208,20 @@ class DmmmBenchmark final : public Benchmark {
     auto c = detail::MakeGpuBuffer(ctx, nullptr, a_.bytes());
     if (!c.ok()) return c.status();
 
-    const std::string kernel_name = program->name;
-    std::vector<kir::Program> kernels;
-    kernels.push_back(*std::move(program));
-    std::shared_ptr<ocl::Program> prog = ctx.CreateProgram(std::move(kernels));
-    MALI_RETURN_IF_ERROR(prog->Build());
-    auto kernel = ctx.CreateKernel(prog, kernel_name);
-    if (!kernel.ok()) return kernel.status();
-    MALI_RETURN_IF_ERROR((*kernel)->SetArgBuffer(0, *a));
-    MALI_RETURN_IF_ERROR((*kernel)->SetArgBuffer(1, *b));
-    MALI_RETURN_IF_ERROR((*kernel)->SetArgBuffer(2, *c));
-    MALI_RETURN_IF_ERROR(
-        (*kernel)->SetArgI32(3, static_cast<std::int32_t>(n_)));
-
-    devices.gpu->device().FlushCaches();
-    detail::GpuLaunch launch;
-    launch.kernel = kernel->get();
-    launch.work_dim = 2;
-    // Opt: 16x16 output blocks maximize B-row reuse within a group.
-    const std::uint64_t tuned_local[3] = {detail::TunedLocalSize(n_ / 4, 16),
-                                          detail::TunedLocalSize(n_, 16), 1};
-    if (optimized) {
-      launch.global[0] = n_ / 4;
-      launch.global[1] = n_;
-      launch.local = tuned_local;
-    } else {
-      launch.global[0] = n_;
-      launch.global[1] = n_;
-      launch.local = nullptr;
+    detail::GpuKernel kernel{*std::move(program),
+                             {*a, *b, *c, static_cast<std::int32_t>(n_)}};
+    kernel.work_dim = 2;
+    kernel.global[0] = n_;
+    kernel.global[1] = n_;
+    if (config != nullptr) {
+      // Square `tile` x `tile` output blocks maximize B-row reuse within a
+      // group.
+      const auto tile = static_cast<std::uint64_t>(config->Get("tile", 16));
+      kernel.global[0] = n_ / static_cast<std::uint64_t>(config->Get("vec", 4));
+      kernel.local[0] = detail::TunedLocalSize(kernel.global[0], tile);
+      kernel.local[1] = detail::TunedLocalSize(n_, tile);
     }
-    StatusOr<RunOutcome> outcome = detail::RunGpuLaunches(devices, {&launch, 1});
+    StatusOr<RunOutcome> outcome = detail::RunGpuKernels(devices, {&kernel, 1});
     if (!outcome.ok()) return outcome;
 
     const std::size_t total = static_cast<std::size_t>(n_) * n_;

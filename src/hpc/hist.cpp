@@ -64,27 +64,9 @@ class HistBenchmark final : public Benchmark {
     return Status::Ok();
   }
 
-  StatusOr<RunOutcome> Run(Variant variant, Devices& devices) override {
-    switch (variant) {
-      case Variant::kSerial:
-        return RunCpuVariant(devices, 1);
-      case Variant::kOpenMP:
-        return RunCpuVariant(devices, 2);
-      case Variant::kOpenCL:
-        return RunGpuNaive(devices);
-      case Variant::kOpenCLOpt:
-        return RunGpuOpt(devices);
-      case Variant::kHetero:
-        break;  // resolved by RunVariant; raw dispatch is invalid
-    }
-    return InvalidArgumentError("bad variant");
-  }
-
-  // §III knobs: work-group size and group count. The tuned kernel strides
-  // the zero/flush stages over the bins (unlike the fixed opt kernel's
-  // one-bin-per-item form) so work-groups smaller than the bin count stay
-  // legal; at wg == bins == 256 the loops collapse to the fixed kernel's
-  // single iteration.
+  // §III knobs: work-group size and group count. Away from one work-item
+  // per bin, the optimized kernel strides its zero/flush stages over the
+  // bins so every work-group size stays legal (see BuildGpuOpt).
   sim::TuningSpace TunableSpace() const override {
     sim::TuningSpace space;
     space.axes = {{"wg", {64, 128, 256}}, {"groups", {4, 8, 16}}};
@@ -98,56 +80,9 @@ class HistBenchmark final : public Benchmark {
     return config;
   }
 
-  StatusOr<RunOutcome> RunTuned(const sim::TuningConfig& config,
-                                Devices& devices) override {
-    MALI_CHECK(devices.gpu != nullptr);
-    const int wg = static_cast<int>(config.Get("wg", 256));
-    const std::uint64_t groups =
-        static_cast<std::uint64_t>(config.Get("groups", 8));
-
-    StatusOr<kir::Program> program = BuildGpuTuned(wg);
-    if (!program.ok()) return program.status();
-    ocl::Context& ctx = *devices.gpu;
-    auto data = detail::MakeGpuBuffer(ctx, data_.data(), data_.bytes());
-    if (!data.ok()) return data.status();
-    auto bins =
-        detail::MakeGpuBuffer(ctx, nullptr, bins_ * sizeof(std::int32_t));
-    if (!bins.ok()) return bins.status();
-
-    const std::string kernel_name = program->name;
-    std::vector<kir::Program> kernels;
-    kernels.push_back(*std::move(program));
-    std::shared_ptr<ocl::Program> prog = ctx.CreateProgram(std::move(kernels));
-    MALI_RETURN_IF_ERROR(prog->Build());
-    auto kernel = ctx.CreateKernel(prog, kernel_name);
-    if (!kernel.ok()) return kernel.status();
-    MALI_RETURN_IF_ERROR((*kernel)->SetArgBuffer(0, *data));
-    MALI_RETURN_IF_ERROR((*kernel)->SetArgBuffer(1, *bins));
-    MALI_RETURN_IF_ERROR((*kernel)->SetArgI32(2, static_cast<std::int32_t>(n_)));
-    MALI_RETURN_IF_ERROR(
-        (*kernel)->SetArgI32(3, static_cast<std::int32_t>(bins_)));
-
-    detail::GpuLaunch launch;
-    launch.kernel = kernel->get();
-    launch.global[0] = groups * static_cast<std::uint64_t>(wg);
-    const std::uint64_t tuned_local[3] = {static_cast<std::uint64_t>(wg), 1, 1};
-    launch.local = tuned_local;
-
-    devices.gpu->device().FlushCaches();
-    StatusOr<RunOutcome> outcome = detail::RunGpuLaunches(devices, {&launch, 1});
-    if (!outcome.ok()) return outcome;
-
-    std::vector<std::int32_t> result(bins_, 0);
-    MALI_RETURN_IF_ERROR(detail::ReadGpuBuffer(
-        ctx, **bins, result.data(), result.size() * sizeof(std::int32_t)));
-    detail::FinishValidation(&*outcome, BinError(result), 0.0);
-    return outcome;
-  }
-
   StatusOr<std::string> TunedKernelText(
       const sim::TuningConfig& config) const override {
-    StatusOr<kir::Program> program =
-        BuildGpuTuned(static_cast<int>(config.Get("wg", 256)));
+    StatusOr<kir::Program> program = BuildGpuOpt(config);
     if (!program.ok()) return program.status();
     return kir::ToText(*program);
   }
@@ -195,7 +130,7 @@ class HistBenchmark final : public Benchmark {
     return kb.Build();
   }
 
-  StatusOr<RunOutcome> RunCpuVariant(Devices& devices, int threads) {
+  StatusOr<RunOutcome> RunCpuVariant(Devices& devices, int threads) override {
     StatusOr<kir::Program> program = BuildCpuKernel();
     if (!program.ok()) return program.status();
     std::vector<std::int32_t> priv(
@@ -242,7 +177,13 @@ class HistBenchmark final : public Benchmark {
     return kb.Build();
   }
 
-  StatusOr<kir::Program> BuildGpuOpt() const {
+  /// Opt: work-group-private __local bins filled with local atomics
+  /// behind a barrier, then one global atomic flush per non-empty bin per
+  /// group. At one work-item per bin (wg == bins, the paper point) each
+  /// item zeroes and flushes its own bin; other work-group sizes stride the
+  /// zero/flush stages over the bins in steps of wg.
+  StatusOr<kir::Program> BuildGpuOpt(const sim::TuningConfig& config) const {
+    const int wg = static_cast<int>(config.Get("wg", 256));
     KernelBuilder kb("hist_cl_opt");
     auto data = kb.ArgBuffer("data", ft(), ArgKind::kBufferRO, true, true);
     auto bins = kb.ArgBuffer("bins", kir::ScalarType::kI32, ArgKind::kBufferRW,
@@ -254,9 +195,14 @@ class HistBenchmark final : public Benchmark {
     Val lid = kb.LocalId(0);
     Val zero = kb.ConstI(kir::I32(), 0);
     Val one = kb.ConstI(kir::I32(), 1);
-    // Work-group size equals the bin count: each work-item owns one bin of
-    // the privatized histogram for zeroing and for the final flush.
-    kb.Store(local_bins, lid, zero);
+    auto each_own_bin = [&](const char* loop, auto body) {
+      if (static_cast<std::uint32_t>(wg) == bins_) {
+        body(lid);
+      } else {
+        kb.For(loop, lid, nbins, wg, body);
+      }
+    };
+    each_own_bin("z", [&](Val b) { kb.Store(local_bins, b, zero); });
     kb.Barrier();
 
     Val bins_f = kb.Convert(nbins, ft());
@@ -268,99 +214,39 @@ class HistBenchmark final : public Benchmark {
     });
 
     kb.Barrier();
-    Val count = kb.Load(local_bins, lid);
-    kb.If(kb.CmpNe(count, zero),
-          [&] { kb.AtomicAdd(bins, lid, count); });
-    return kb.Build();
-  }
-
-  /// BuildGpuOpt generalized over the work-group size: the privatized
-  /// zero/flush stages stride over the bins in steps of `wg` instead of
-  /// assuming one bin per work-item.
-  StatusOr<kir::Program> BuildGpuTuned(int wg) const {
-    KernelBuilder kb("hist_cl_tuned");
-    auto data = kb.ArgBuffer("data", ft(), ArgKind::kBufferRO, true, true);
-    auto bins = kb.ArgBuffer("bins", kir::ScalarType::kI32, ArgKind::kBufferRW,
-                             true, false);
-    Val n = kb.ArgScalar("n", kir::ScalarType::kI32);
-    Val nbins = kb.ArgScalar("nbins", kir::ScalarType::kI32);
-    auto local_bins = kb.LocalArray("local_bins", kir::ScalarType::kI32, 256);
-
-    Val lid = kb.LocalId(0);
-    Val zero = kb.ConstI(kir::I32(), 0);
-    Val one = kb.ConstI(kir::I32(), 1);
-    kb.For("z", lid, nbins, wg, [&](Val b) { kb.Store(local_bins, b, zero); });
-    kb.Barrier();
-
-    Val bins_f = kb.Convert(nbins, ft());
-    Val bins_m1 = kb.Binary(Opcode::kSub, nbins, one);
-    detail::Chunk chunk = detail::ThreadChunk(kb, n);
-    kb.For("i", chunk.start, chunk.end, 1, [&](Val i) {
-      Val bucket = EmitBucket(kb, kb.Load(data, i), bins_f, bins_m1);
-      kb.AtomicAdd(local_bins, bucket, one);
-    });
-
-    kb.Barrier();
-    kb.For("f", lid, nbins, wg, [&](Val b) {
+    each_own_bin("f", [&](Val b) {
       Val count = kb.Load(local_bins, b);
       kb.If(kb.CmpNe(count, zero), [&] { kb.AtomicAdd(bins, b, count); });
     });
     return kb.Build();
   }
 
-  StatusOr<RunOutcome> RunGpuNaive(Devices& devices) {
-    StatusOr<kir::Program> program = BuildGpuNaive();
+  StatusOr<RunOutcome> RunGpuVariant(Devices& devices,
+                                     const sim::TuningConfig* config) override {
+    StatusOr<kir::Program> program =
+        config != nullptr ? BuildGpuOpt(*config) : BuildGpuNaive();
     if (!program.ok()) return program.status();
-    return RunGpuCommon(devices, *std::move(program), /*optimized=*/false);
-  }
-
-  StatusOr<RunOutcome> RunGpuOpt(Devices& devices) {
-    StatusOr<kir::Program> program = BuildGpuOpt();
-    if (!program.ok()) return program.status();
-    return RunGpuCommon(devices, *std::move(program), /*optimized=*/true);
-  }
-
-  StatusOr<RunOutcome> RunGpuCommon(Devices& devices, kir::Program program,
-                                    bool optimized) {
     ocl::Context& ctx = *devices.gpu;
     auto data = detail::MakeGpuBuffer(ctx, data_.data(), data_.bytes());
     if (!data.ok()) return data.status();
     auto bins = detail::MakeGpuBuffer(ctx, nullptr, bins_ * sizeof(std::int32_t));
     if (!bins.ok()) return bins.status();
 
-    const std::string kernel_name = program.name;
-    std::vector<kir::Program> kernels;
-    kernels.push_back(std::move(program));
-    std::shared_ptr<ocl::Program> prog = ctx.CreateProgram(std::move(kernels));
-    MALI_RETURN_IF_ERROR(prog->Build());
-    auto kernel = ctx.CreateKernel(prog, kernel_name);
-    if (!kernel.ok()) return kernel.status();
-
-    detail::GpuLaunch launch;
-    launch.kernel = kernel->get();
-    const std::uint64_t tuned_local[3] = {256, 1, 1};
-    if (optimized) {
-      MALI_RETURN_IF_ERROR((*kernel)->SetArgBuffer(0, *data));
-      MALI_RETURN_IF_ERROR((*kernel)->SetArgBuffer(1, *bins));
-      MALI_RETURN_IF_ERROR(
-          (*kernel)->SetArgI32(2, static_cast<std::int32_t>(n_)));
-      MALI_RETURN_IF_ERROR(
-          (*kernel)->SetArgI32(3, static_cast<std::int32_t>(bins_)));
-      // 8 groups of 256: each group privatizes into __local bins; the flush
-      // stage issues only groups x bins global atomics.
-      launch.global[0] = 8 * 256;
-      launch.local = tuned_local;
+    detail::GpuKernel kernel{*std::move(program), {*data, *bins}};
+    if (config != nullptr) {
+      // `groups` groups of wg (paper point 8 x 256): each group privatizes
+      // into __local bins; the flush stage issues only groups x bins
+      // global atomics.
+      const auto wg = static_cast<std::uint64_t>(config->Get("wg", 256));
+      kernel.args.push_back(static_cast<std::int32_t>(n_));
+      kernel.global[0] =
+          static_cast<std::uint64_t>(config->Get("groups", 8)) * wg;
+      kernel.local[0] = wg;
     } else {
-      MALI_RETURN_IF_ERROR((*kernel)->SetArgBuffer(0, *data));
-      MALI_RETURN_IF_ERROR((*kernel)->SetArgBuffer(1, *bins));
-      MALI_RETURN_IF_ERROR(
-          (*kernel)->SetArgI32(2, static_cast<std::int32_t>(bins_)));
-      launch.global[0] = n_;
-      launch.local = nullptr;
+      kernel.global[0] = n_;
     }
-
-    devices.gpu->device().FlushCaches();
-    StatusOr<RunOutcome> outcome = detail::RunGpuLaunches(devices, {&launch, 1});
+    kernel.args.push_back(static_cast<std::int32_t>(bins_));
+    StatusOr<RunOutcome> outcome = detail::RunGpuKernels(devices, {&kernel, 1});
     if (!outcome.ok()) return outcome;
 
     std::vector<std::int32_t> result(bins_, 0);

@@ -20,7 +20,6 @@
 #include "common/prng.h"
 #include "hpc/detail.h"
 #include "hpc/kernels.h"
-#include "ocl/cl_error.h"
 
 namespace malisim::hpc {
 namespace {
@@ -104,22 +103,6 @@ class NbodyBenchmark final : public Benchmark {
     return Status::Ok();
   }
 
-  StatusOr<RunOutcome> Run(Variant variant, Devices& devices) override {
-    switch (variant) {
-      case Variant::kSerial:
-        return RunCpuVariant(devices, 1);
-      case Variant::kOpenMP:
-        return RunCpuVariant(devices, 2);
-      case Variant::kOpenCL:
-        return RunGpuVariant(devices, false);
-      case Variant::kOpenCLOpt:
-        return RunGpuVariant(devices, true);
-      case Variant::kHetero:
-        break;  // resolved by RunVariant; raw dispatch is invalid
-    }
-    return InvalidArgumentError("bad variant");
-  }
-
   // §III knobs: kernel flavor (scalar rsqrt+unroll vs vector), body layout
   // (AOS as the paper keeps it, or the SOA transform the paper explicitly
   // does NOT apply — §V-A's "change to the main data structure
@@ -146,76 +129,9 @@ class NbodyBenchmark final : public Benchmark {
     return config;
   }
 
-  StatusOr<RunOutcome> RunTuned(const sim::TuningConfig& config,
-                                Devices& devices) override {
-    MALI_CHECK(devices.gpu != nullptr);
-    const bool vector = config.Get("vecflavor", 1) != 0;
-    const bool soa = config.Get("soa", 0) != 0;
-    const std::uint64_t wg = static_cast<std::uint64_t>(config.Get("wg", 64));
-
-    StatusOr<kir::Program> program = BuildGpuTunedKernel(vector, soa);
-    if (!program.ok()) return program.status();
-    ocl::Context& ctx = *devices.gpu;
-
-    std::vector<std::shared_ptr<ocl::Buffer>> args;
-    if (soa) {
-      for (const FpBuffer* src : {&soa_x_, &soa_y_, &soa_z_, &soa_m_}) {
-        auto buffer = detail::MakeGpuBuffer(ctx, src->data(), src->bytes());
-        if (!buffer.ok()) return buffer.status();
-        args.push_back(*std::move(buffer));
-      }
-    } else {
-      auto bodies = detail::MakeGpuBuffer(ctx, bodies_.data(), bodies_.bytes());
-      if (!bodies.ok()) return bodies.status();
-      args.push_back(*std::move(bodies));
-    }
-    auto vel = detail::MakeGpuBuffer(ctx, vel_.data(), vel_.bytes());
-    if (!vel.ok()) return vel.status();
-    args.push_back(*std::move(vel));
-    auto out_pos = detail::MakeGpuBuffer(ctx, nullptr, bodies_.bytes());
-    if (!out_pos.ok()) return out_pos.status();
-    args.push_back(*out_pos);
-    auto out_vel = detail::MakeGpuBuffer(ctx, nullptr, vel_.bytes());
-    if (!out_vel.ok()) return out_vel.status();
-    args.push_back(*out_vel);
-
-    const std::string kernel_name = program->name;
-    std::vector<kir::Program> kernels;
-    kernels.push_back(*std::move(program));
-    std::shared_ptr<ocl::Program> prog = ctx.CreateProgram(std::move(kernels));
-    MALI_RETURN_IF_ERROR(prog->Build());
-    auto kernel = ctx.CreateKernel(prog, kernel_name);
-    if (!kernel.ok()) return kernel.status();
-    for (std::size_t a = 0; a < args.size(); ++a) {
-      MALI_RETURN_IF_ERROR(
-          (*kernel)->SetArgBuffer(static_cast<std::uint32_t>(a), args[a]));
-    }
-    MALI_RETURN_IF_ERROR((*kernel)->SetArgI32(
-        static_cast<std::uint32_t>(args.size()),
-        static_cast<std::int32_t>(n_)));
-
-    devices.gpu->device().FlushCaches();
-    detail::GpuLaunch launch;
-    launch.kernel = kernel->get();
-    launch.global[0] = n_;
-    const std::uint64_t tuned_local[3] = {detail::TunedLocalSize(n_, wg), 1, 1};
-    launch.local = tuned_local;
-    StatusOr<RunOutcome> outcome = detail::RunGpuLaunches(devices, {&launch, 1});
-    if (!outcome.ok()) return outcome;
-
-    FpBuffer got_pos(fp64_, bodies_.size()), got_vel(fp64_, vel_.size());
-    MALI_RETURN_IF_ERROR(
-        detail::ReadGpuBuffer(ctx, **out_pos, got_pos.data(), got_pos.bytes()));
-    MALI_RETURN_IF_ERROR(
-        detail::ReadGpuBuffer(ctx, **out_vel, got_vel.data(), got_vel.bytes()));
-    detail::FinishValidation(&*outcome, Error(got_pos, got_vel), tol());
-    return outcome;
-  }
-
   StatusOr<std::string> TunedKernelText(
       const sim::TuningConfig& config) const override {
-    StatusOr<kir::Program> program = BuildGpuTunedKernel(
-        config.Get("vecflavor", 1) != 0, config.Get("soa", 0) != 0);
+    StatusOr<kir::Program> program = BuildGpuKernel(&config);
     if (!program.ok()) return program.status();
     return kir::ToText(*program);
   }
@@ -350,9 +266,16 @@ class NbodyBenchmark final : public Benchmark {
     return kb.Build();
   }
 
-  StatusOr<kir::Program> BuildGpuTunedKernel(bool vector, bool soa) const {
-    if (!soa) {
-      return BuildKernel("nbody_cl_tuned", false,
+  /// The naive kernel (`config` null) or the optimized one at `config`:
+  /// kernel flavor and body layout, with the §III-C qualifiers.
+  StatusOr<kir::Program> BuildGpuKernel(const sim::TuningConfig* config) const {
+    if (config == nullptr) {
+      return BuildKernel("nbody_cl", false, Flavor::kScalarDivSqrt, false);
+    }
+    const bool vector = config->Get("vecflavor", 1) != 0;
+    const std::string name = vector ? "nbody_cl_opt" : "nbody_cl_opt_mild";
+    if (config->Get("soa", 0) == 0) {
+      return BuildKernel(name, false,
                          vector ? Flavor::kVectorGather : Flavor::kScalarRsqrt,
                          true);
     }
@@ -360,7 +283,7 @@ class NbodyBenchmark final : public Benchmark {
     // transpose — partner coordinates vload4 directly, which is the "easier
     // applicability of vector optimizations" §V-A alludes to (and far fewer
     // live registers than the AOS gather).
-    KernelBuilder kb("nbody_cl_tuned_soa");
+    KernelBuilder kb(name + "_soa");
     auto xs = kb.ArgBuffer("xs", ft(), ArgKind::kBufferRO, true, true);
     auto ys = kb.ArgBuffer("ys", ft(), ArgKind::kBufferRO, true, true);
     auto zs = kb.ArgBuffer("zs", ft(), ArgKind::kBufferRO, true, true);
@@ -440,7 +363,7 @@ class NbodyBenchmark final : public Benchmark {
     return kb.Build();
   }
 
-  StatusOr<RunOutcome> RunCpuVariant(Devices& devices, int threads) {
+  StatusOr<RunOutcome> RunCpuVariant(Devices& devices, int threads) override {
     StatusOr<kir::Program> program =
         BuildKernel("nbody_cpu", true, Flavor::kScalarDivSqrt, false);
     if (!program.ok()) return program.status();
@@ -459,84 +382,93 @@ class NbodyBenchmark final : public Benchmark {
     return outcome;
   }
 
-  StatusOr<RunOutcome> RunGpuVariant(Devices& devices, bool optimized) {
-    ocl::Context& ctx = *devices.gpu;
-    auto bodies = detail::MakeGpuBuffer(ctx, bodies_.data(), bodies_.bytes());
-    if (!bodies.ok()) return bodies.status();
-    auto vel = detail::MakeGpuBuffer(ctx, vel_.data(), vel_.bytes());
-    if (!vel.ok()) return vel.status();
-    auto out_pos = detail::MakeGpuBuffer(ctx, nullptr, bodies_.bytes());
-    if (!out_pos.ok()) return out_pos.status();
-    auto out_vel = detail::MakeGpuBuffer(ctx, nullptr, vel_.bytes());
-    if (!out_vel.ok()) return out_vel.status();
+  StatusOr<RunOutcome> RunGpuVariant(Devices& devices,
+                                     const sim::TuningConfig* config) override {
+    // The naive kernel runs as a one-rung ladder (transient faults
+    // retried); a tuner candidate runs once.
+    return RunGpuRungs(devices, {&config, 1}, /*ladder=*/config == nullptr);
+  }
 
-    // Kernel rungs of the degradation ladder. The optimized ladder encodes
-    // the paper's FP64 failure: the register-hungry vector-gather kernel
-    // cannot launch (CL_OUT_OF_RESOURCES) and the benchmark falls back to
-    // the mild optimization level (paper §V-A: the DP Opt results barely
-    // beat the naive version). With fault injection on, transient enqueue
-    // failures are retried and compiler faults fall down the same rungs.
-    std::vector<detail::KernelRung> rungs;
-    if (optimized) {
-      rungs.push_back({"vector-gather kernel", [&] {
-                         return TryGpu(devices, "nbody_cl_opt",
-                                       Flavor::kVectorGather, true, *bodies,
-                                       *vel, *out_pos, *out_vel);
-                       }});
-      rungs.push_back({"scalar rsqrt+unroll kernel", [&] {
-                         return TryGpu(devices, "nbody_cl_opt_mild",
-                                       Flavor::kScalarRsqrt, true, *bodies,
-                                       *vel, *out_pos, *out_vel);
-                       }});
+  // The optimized ladder encodes the paper's FP64 failure: the
+  // register-hungry vector-gather kernel cannot launch
+  // (CL_OUT_OF_RESOURCES) and the benchmark falls back to the mild
+  // optimization level (paper §V-A: the DP Opt results barely beat the
+  // naive version). With fault injection on, transient enqueue failures are
+  // retried and compiler faults fall down the same rungs.
+  StatusOr<RunOutcome> RunPaperOpt(Devices& devices) override {
+    const sim::TuningConfig paper = PaperOptConfig();
+    sim::TuningConfig mild = paper;
+    mild.Set("vecflavor", 0);
+    const sim::TuningConfig* rungs[] = {&paper, &mild};
+    return RunGpuRungs(devices, rungs, /*ladder=*/true);
+  }
+
+  /// The GPU run body. Each rung is one kernel (null = the naive one); the
+  /// rungs share one set of buffers, made once up front so a fallback does
+  /// not shift the fault schedule. With `ladder` they are the kernel rungs
+  /// of the degradation ladder (detail::RunKernelLadder); without it the
+  /// single rung runs once.
+  StatusOr<RunOutcome> RunGpuRungs(
+      Devices& devices, std::span<const sim::TuningConfig* const> rungs,
+      bool ladder) {
+    ocl::Context& ctx = *devices.gpu;
+    std::vector<std::shared_ptr<ocl::Buffer>> buffers;
+    auto add = [&](const FpBuffer* src, bool output) -> Status {
+      auto buffer = detail::MakeGpuBuffer(ctx, output ? nullptr : src->data(),
+                                          src->bytes());
+      if (!buffer.ok()) return buffer.status();
+      buffers.push_back(*std::move(buffer));
+      return Status::Ok();
+    };
+    const bool soa = rungs[0] != nullptr && rungs[0]->Get("soa", 0) != 0;
+    if (soa) {
+      for (const FpBuffer* src : {&soa_x_, &soa_y_, &soa_z_, &soa_m_}) {
+        MALI_RETURN_IF_ERROR(add(src, false));
+      }
     } else {
-      rungs.push_back({"naive scalar kernel", [&] {
-                         return TryGpu(devices, "nbody_cl",
-                                       Flavor::kScalarDivSqrt, false, *bodies,
-                                       *vel, *out_pos, *out_vel);
-                       }});
+      MALI_RETURN_IF_ERROR(add(&bodies_, false));
     }
-    StatusOr<RunOutcome> outcome = detail::RunKernelLadder(devices, rungs);
+    MALI_RETURN_IF_ERROR(add(&vel_, false));
+    MALI_RETURN_IF_ERROR(add(&bodies_, true));  // out_pos
+    MALI_RETURN_IF_ERROR(add(&vel_, true));     // out_vel
+
+    auto run = [&](const sim::TuningConfig* config) -> StatusOr<RunOutcome> {
+      StatusOr<kir::Program> program = BuildGpuKernel(config);
+      if (!program.ok()) return program.status();
+      detail::GpuKernel kernel{*std::move(program), {}};
+      for (const auto& buffer : buffers) kernel.args.push_back(buffer);
+      kernel.args.push_back(static_cast<std::int32_t>(n_));
+      kernel.global[0] = n_;
+      if (config != nullptr) {
+        kernel.local[0] = detail::TunedLocalSize(
+            n_, static_cast<std::uint64_t>(config->Get("wg", 64)));
+      }
+      return detail::RunGpuKernels(devices, {&kernel, 1});
+    };
+    std::vector<detail::KernelRung> kernel_rungs;
+    for (const sim::TuningConfig* config : rungs) {
+      kernel_rungs.push_back(
+          {KernelLabel(config), [&run, config] { return run(config); }});
+    }
+    StatusOr<RunOutcome> outcome =
+        ladder ? detail::RunKernelLadder(devices, kernel_rungs) : run(rungs[0]);
     if (!outcome.ok()) return outcome;
 
     FpBuffer got_pos(fp64_, bodies_.size()), got_vel(fp64_, vel_.size());
-    MALI_RETURN_IF_ERROR(
-        detail::ReadGpuBuffer(ctx, **out_pos, got_pos.data(), got_pos.bytes()));
-    MALI_RETURN_IF_ERROR(
-        detail::ReadGpuBuffer(ctx, **out_vel, got_vel.data(), got_vel.bytes()));
+    const std::size_t out_pos = buffers.size() - 2, out_vel = out_pos + 1;
+    MALI_RETURN_IF_ERROR(detail::ReadGpuBuffer(
+        ctx, *buffers[out_pos], got_pos.data(), got_pos.bytes()));
+    MALI_RETURN_IF_ERROR(detail::ReadGpuBuffer(
+        ctx, *buffers[out_vel], got_vel.data(), got_vel.bytes()));
     detail::FinishValidation(&*outcome, Error(got_pos, got_vel), tol());
     return outcome;
   }
 
-  StatusOr<RunOutcome> TryGpu(Devices& devices, const std::string& kernel_name,
-                              Flavor flavor, bool tuned,
-                              const std::shared_ptr<ocl::Buffer>& bodies,
-                              const std::shared_ptr<ocl::Buffer>& vel,
-                              const std::shared_ptr<ocl::Buffer>& out_pos,
-                              const std::shared_ptr<ocl::Buffer>& out_vel) {
-    StatusOr<kir::Program> program =
-        BuildKernel(kernel_name, false, flavor, tuned);
-    if (!program.ok()) return program.status();
-    ocl::Context& ctx = *devices.gpu;
-    std::vector<kir::Program> kernels;
-    kernels.push_back(*std::move(program));
-    std::shared_ptr<ocl::Program> prog = ctx.CreateProgram(std::move(kernels));
-    MALI_RETURN_IF_ERROR(prog->Build());
-    auto kernel = ctx.CreateKernel(prog, kernel_name);
-    if (!kernel.ok()) return kernel.status();
-    MALI_RETURN_IF_ERROR((*kernel)->SetArgBuffer(0, bodies));
-    MALI_RETURN_IF_ERROR((*kernel)->SetArgBuffer(1, vel));
-    MALI_RETURN_IF_ERROR((*kernel)->SetArgBuffer(2, out_pos));
-    MALI_RETURN_IF_ERROR((*kernel)->SetArgBuffer(3, out_vel));
-    MALI_RETURN_IF_ERROR(
-        (*kernel)->SetArgI32(4, static_cast<std::int32_t>(n_)));
-
-    devices.gpu->device().FlushCaches();
-    detail::GpuLaunch launch;
-    launch.kernel = kernel->get();
-    launch.global[0] = n_;
-    const std::uint64_t tuned_local[3] = {detail::TunedLocalSize(n_, 64), 1, 1};
-    launch.local = tuned ? tuned_local : nullptr;
-    return detail::RunGpuLaunches(devices, {&launch, 1});
+  /// Kernel label in fallback notes ("... for vector-gather kernel").
+  static std::string KernelLabel(const sim::TuningConfig* config) {
+    if (config == nullptr) return "naive scalar kernel";
+    return config->Get("vecflavor", 1) != 0 ? "vector-gather kernel"
+                                            : "scalar rsqrt+unroll kernel";
   }
 
   double Error(const FpBuffer& got_pos, const FpBuffer& got_vel) const {

@@ -45,22 +45,6 @@ class ReductionBenchmark final : public Benchmark {
     return Status::Ok();
   }
 
-  StatusOr<RunOutcome> Run(Variant variant, Devices& devices) override {
-    switch (variant) {
-      case Variant::kSerial:
-        return RunCpuVariant(devices, 1);
-      case Variant::kOpenMP:
-        return RunCpuVariant(devices, 2);
-      case Variant::kOpenCL:
-        return RunGpuVariant(devices, false);
-      case Variant::kOpenCLOpt:
-        return RunGpuVariant(devices, true);
-      case Variant::kHetero:
-        break;  // resolved by RunVariant; raw dispatch is invalid
-    }
-    return InvalidArgumentError("bad variant");
-  }
-
   // §III knobs: accumulator vector width (both stages), stage-1 work-item
   // count (the parallel/sequential balance point §IV-A describes), and the
   // stage-1 work-group size.
@@ -87,73 +71,11 @@ class ReductionBenchmark final : public Benchmark {
     return config;
   }
 
-  StatusOr<RunOutcome> RunTuned(const sim::TuningConfig& config,
-                                Devices& devices) override {
-    MALI_CHECK(devices.gpu != nullptr);
-    const int vec = static_cast<int>(config.Get("vec", 4));
-    const std::uint64_t items1 =
-        static_cast<std::uint64_t>(config.Get("items1", 1024));
-    const std::uint64_t wg = static_cast<std::uint64_t>(config.Get("wg", 128));
-
-    StatusOr<kir::Program> s1 = BuildTunedStage1(vec);
-    if (!s1.ok()) return s1.status();
-    StatusOr<kir::Program> s2 = BuildTunedStage2(vec);
-    if (!s2.ok()) return s2.status();
-
-    ocl::Context& ctx = *devices.gpu;
-    auto a = detail::MakeGpuBuffer(ctx, a_.data(), a_.bytes());
-    if (!a.ok()) return a.status();
-    auto partial =
-        detail::MakeGpuBuffer(ctx, nullptr, items1 * a_.elem_bytes());
-    if (!partial.ok()) return partial.status();
-    auto out = detail::MakeGpuBuffer(ctx, nullptr, a_.elem_bytes());
-    if (!out.ok()) return out.status();
-
-    std::vector<kir::Program> kernels;
-    const std::string n1 = s1->name, n2 = s2->name;
-    kernels.push_back(*std::move(s1));
-    kernels.push_back(*std::move(s2));
-    std::shared_ptr<ocl::Program> prog = ctx.CreateProgram(std::move(kernels));
-    MALI_RETURN_IF_ERROR(prog->Build());
-    auto k1 = ctx.CreateKernel(prog, n1);
-    if (!k1.ok()) return k1.status();
-    auto k2 = ctx.CreateKernel(prog, n2);
-    if (!k2.ok()) return k2.status();
-    MALI_RETURN_IF_ERROR((*k1)->SetArgBuffer(0, *a));
-    MALI_RETURN_IF_ERROR((*k1)->SetArgBuffer(1, *partial));
-    MALI_RETURN_IF_ERROR((*k1)->SetArgI32(2, static_cast<std::int32_t>(n_)));
-    MALI_RETURN_IF_ERROR((*k2)->SetArgBuffer(0, *partial));
-    MALI_RETURN_IF_ERROR((*k2)->SetArgBuffer(1, *out));
-    MALI_RETURN_IF_ERROR((*k2)->SetArgI32(2, static_cast<std::int32_t>(items1)));
-
-    devices.gpu->device().FlushCaches();
-    const std::uint64_t tuned_local[3] = {detail::TunedLocalSize(items1, wg), 1,
-                                          1};
-    detail::GpuLaunch launches[2];
-    launches[0].kernel = k1->get();
-    launches[0].global[0] = items1;
-    launches[0].local = tuned_local;
-    launches[1].kernel = k2->get();
-    launches[1].global[0] = 1;
-    launches[1].local = nullptr;
-    StatusOr<RunOutcome> outcome = detail::RunGpuLaunches(devices, launches);
-    if (!outcome.ok()) return outcome;
-
-    FpBuffer result(fp64_, 1);
-    MALI_RETURN_IF_ERROR(
-        detail::ReadGpuBuffer(ctx, **out, result.data(), result.bytes()));
-    detail::FinishValidation(
-        &*outcome, std::abs(result.Get(0) - ref_sum_) / std::abs(ref_sum_),
-        tol());
-    return outcome;
-  }
-
   StatusOr<std::string> TunedKernelText(
       const sim::TuningConfig& config) const override {
-    const int vec = static_cast<int>(config.Get("vec", 4));
-    StatusOr<kir::Program> s1 = BuildTunedStage1(vec);
+    StatusOr<kir::Program> s1 = BuildGpuStage1(&config);
     if (!s1.ok()) return s1.status();
-    StatusOr<kir::Program> s2 = BuildTunedStage2(vec);
+    StatusOr<kir::Program> s2 = BuildGpuStage2(&config);
     if (!s2.ok()) return s2.status();
     return kir::ToText(*s1) + kir::ToText(*s2);
   }
@@ -179,7 +101,7 @@ class ReductionBenchmark final : public Benchmark {
     return kb.Build();
   }
 
-  StatusOr<RunOutcome> RunCpuVariant(Devices& devices, int threads) {
+  StatusOr<RunOutcome> RunCpuVariant(Devices& devices, int threads) override {
     StatusOr<kir::Program> program = BuildCpuKernel();
     if (!program.ok()) return program.status();
     FpBuffer partial(fp64_, static_cast<std::size_t>(threads));
@@ -197,60 +119,16 @@ class ReductionBenchmark final : public Benchmark {
     return outcome;
   }
 
-  // Stage 1 (naive): kItems1 work-items, each sums a contiguous chunk with
-  // scalar loads. Stage 2: one work-item folds the partials.
-  StatusOr<kir::Program> BuildGpuStage1(bool optimized) const {
-    KernelBuilder kb(optimized ? "red_stage1_opt" : "red_stage1");
-    auto a = kb.ArgBuffer("a", ft(), ArgKind::kBufferRO, optimized, optimized);
-    auto partial =
-        kb.ArgBuffer("partial", ft(), ArgKind::kBufferWO, optimized, false);
-    Val n = kb.ArgScalar("n", kir::ScalarType::kI32);
-    detail::Chunk chunk = detail::ThreadChunk(kb, n);
-    if (!optimized) {
-      Val acc = kb.Var(kir::FloatType(fp64_), "acc");
-      kb.Assign(acc, detail::FConst(kb, fp64_, 0.0));
-      kb.For("i", chunk.start, chunk.end, 1,
-             [&](Val i) { kb.Assign(acc, acc + kb.Load(a, i)); });
-      kb.Store(partial, kb.GlobalId(0), acc);
-    } else {
-      // §III-B vectorization: float4 accumulator + vload4 (chunk sizes are
-      // multiples of 4 by construction), folded once at the end.
-      Val acc4 = kb.Var(kir::FloatType(fp64_, 4), "acc4");
-      kb.Assign(acc4, detail::FConst(kb, fp64_, 0.0, 4));
-      kb.For("i", chunk.start, chunk.end, 4,
-             [&](Val i) { kb.Assign(acc4, acc4 + kb.Load(a, i, 0, 4)); });
-      kb.Store(partial, kb.GlobalId(0), kb.VSum(acc4));
-    }
-    return kb.Build();
-  }
-
-  StatusOr<kir::Program> BuildGpuStage2(bool optimized) const {
-    KernelBuilder kb(optimized ? "red_stage2_opt" : "red_stage2");
-    auto partial =
-        kb.ArgBuffer("partial", ft(), ArgKind::kBufferRO, optimized, optimized);
-    auto out = kb.ArgBuffer("out", ft(), ArgKind::kBufferWO, optimized, false);
-    Val m = kb.ArgScalar("m", kir::ScalarType::kI32);
-    if (!optimized) {
-      Val acc = kb.Var(kir::FloatType(fp64_), "acc");
-      kb.Assign(acc, detail::FConst(kb, fp64_, 0.0));
-      kb.For("i", 0, m, 1, [&](Val i) { kb.Assign(acc, acc + kb.Load(partial, i)); });
-      kb.Store(out, kb.ConstI(kir::I32(), 0), acc);
-    } else {
-      Val acc4 = kb.Var(kir::FloatType(fp64_, 4), "acc4");
-      kb.Assign(acc4, detail::FConst(kb, fp64_, 0.0, 4));
-      kb.For("i", 0, m, 4,
-             [&](Val i) { kb.Assign(acc4, acc4 + kb.Load(partial, i, 0, 4)); });
-      kb.Store(out, kb.ConstI(kir::I32(), 0), kb.VSum(acc4));
-    }
-    return kb.Build();
-  }
-
-  /// The optimized stages generalized over accumulator width. vec == 1 is
-  /// the scalar body with the §III-C qualifiers.
-  StatusOr<kir::Program> BuildTunedStage1(int vec) const {
-    KernelBuilder kb("red_stage1_tuned");
-    auto a = kb.ArgBuffer("a", ft(), ArgKind::kBufferRO, true, true);
-    auto partial = kb.ArgBuffer("partial", ft(), ArgKind::kBufferWO, true,
+  // Stage 1: each work-item sums a contiguous chunk into partial[gid].
+  // Naive (`config` null): scalar loads. Opt: §III-C qualifiers and at
+  // vec > 1 the §III-B vector accumulator + vloadN (chunk sizes are
+  // multiples of vec by the space's validity rule), folded once at the end.
+  StatusOr<kir::Program> BuildGpuStage1(const sim::TuningConfig* config) const {
+    const bool opt = config != nullptr;
+    const int vec = opt ? static_cast<int>(config->Get("vec", 4)) : 1;
+    KernelBuilder kb(opt ? "red_stage1_opt" : "red_stage1");
+    auto a = kb.ArgBuffer("a", ft(), ArgKind::kBufferRO, opt, opt);
+    auto partial = kb.ArgBuffer("partial", ft(), ArgKind::kBufferWO, opt,
                                 false);
     Val n = kb.ArgScalar("n", kir::ScalarType::kI32);
     detail::Chunk chunk = detail::ThreadChunk(kb, n);
@@ -271,11 +149,13 @@ class ReductionBenchmark final : public Benchmark {
     return kb.Build();
   }
 
-  StatusOr<kir::Program> BuildTunedStage2(int vec) const {
-    KernelBuilder kb("red_stage2_tuned");
-    auto partial = kb.ArgBuffer("partial", ft(), ArgKind::kBufferRO, true,
-                                true);
-    auto out = kb.ArgBuffer("out", ft(), ArgKind::kBufferWO, true, false);
+  // Stage 2: one work-item folds the partials, at the same width.
+  StatusOr<kir::Program> BuildGpuStage2(const sim::TuningConfig* config) const {
+    const bool opt = config != nullptr;
+    const int vec = opt ? static_cast<int>(config->Get("vec", 4)) : 1;
+    KernelBuilder kb(opt ? "red_stage2_opt" : "red_stage2");
+    auto partial = kb.ArgBuffer("partial", ft(), ArgKind::kBufferRO, opt, opt);
+    auto out = kb.ArgBuffer("out", ft(), ArgKind::kBufferWO, opt, false);
     Val m = kb.ArgScalar("m", kir::ScalarType::kI32);
     if (vec <= 1) {
       Val acc = kb.Var(kir::FloatType(fp64_), "acc");
@@ -294,13 +174,18 @@ class ReductionBenchmark final : public Benchmark {
     return kb.Build();
   }
 
-  StatusOr<RunOutcome> RunGpuVariant(Devices& devices, bool optimized) {
-    // Naive: many tiny work-groups (driver heuristic); Opt: tuned 128-item
-    // groups, 1024 work-items total.
-    const std::uint64_t items1 = optimized ? 1024 : 2048;
-    StatusOr<kir::Program> s1 = BuildGpuStage1(optimized);
+  StatusOr<RunOutcome> RunGpuVariant(Devices& devices,
+                                     const sim::TuningConfig* config) override {
+    // Naive: 2048 stage-1 work-items in many tiny work-groups (driver
+    // heuristic). Opt: the config's stage-1 item count (paper point 1024)
+    // in tuned work-groups (paper point 128 items).
+    const std::uint64_t items1 =
+        config != nullptr
+            ? static_cast<std::uint64_t>(config->Get("items1", 1024))
+            : 2048;
+    StatusOr<kir::Program> s1 = BuildGpuStage1(config);
     if (!s1.ok()) return s1.status();
-    StatusOr<kir::Program> s2 = BuildGpuStage2(optimized);
+    StatusOr<kir::Program> s2 = BuildGpuStage2(config);
     if (!s2.ok()) return s2.status();
 
     ocl::Context& ctx = *devices.gpu;
@@ -312,34 +197,16 @@ class ReductionBenchmark final : public Benchmark {
     auto out = detail::MakeGpuBuffer(ctx, nullptr, a_.elem_bytes());
     if (!out.ok()) return out.status();
 
-    std::vector<kir::Program> kernels;
-    const std::string n1 = s1->name, n2 = s2->name;
-    kernels.push_back(*std::move(s1));
-    kernels.push_back(*std::move(s2));
-    std::shared_ptr<ocl::Program> prog = ctx.CreateProgram(std::move(kernels));
-    MALI_RETURN_IF_ERROR(prog->Build());
-    auto k1 = ctx.CreateKernel(prog, n1);
-    if (!k1.ok()) return k1.status();
-    auto k2 = ctx.CreateKernel(prog, n2);
-    if (!k2.ok()) return k2.status();
-    MALI_RETURN_IF_ERROR((*k1)->SetArgBuffer(0, *a));
-    MALI_RETURN_IF_ERROR((*k1)->SetArgBuffer(1, *partial));
-    MALI_RETURN_IF_ERROR((*k1)->SetArgI32(2, static_cast<std::int32_t>(n_)));
-    MALI_RETURN_IF_ERROR((*k2)->SetArgBuffer(0, *partial));
-    MALI_RETURN_IF_ERROR((*k2)->SetArgBuffer(1, *out));
-    MALI_RETURN_IF_ERROR((*k2)->SetArgI32(2, static_cast<std::int32_t>(items1)));
-
-    devices.gpu->device().FlushCaches();
-    const std::uint64_t tuned_local[3] = {
-        detail::TunedLocalSize(items1, 128), 1, 1};
-    detail::GpuLaunch launches[2];
-    launches[0].kernel = k1->get();
-    launches[0].global[0] = items1;
-    launches[0].local = optimized ? tuned_local : nullptr;
-    launches[1].kernel = k2->get();
-    launches[1].global[0] = 1;
-    launches[1].local = nullptr;
-    StatusOr<RunOutcome> outcome = detail::RunGpuLaunches(devices, launches);
+    detail::GpuKernel kernels[2] = {
+        {*std::move(s1), {*a, *partial, static_cast<std::int32_t>(n_)}},
+        {*std::move(s2),
+         {*partial, *out, static_cast<std::int32_t>(items1)}}};
+    kernels[0].global[0] = items1;
+    if (config != nullptr) {
+      kernels[0].local[0] = detail::TunedLocalSize(
+          items1, static_cast<std::uint64_t>(config->Get("wg", 128)));
+    }
+    StatusOr<RunOutcome> outcome = detail::RunGpuKernels(devices, kernels);
     if (!outcome.ok()) return outcome;
 
     FpBuffer result(fp64_, 1);

@@ -81,25 +81,9 @@ class SpmvBenchmark final : public Benchmark {
     return Status::Ok();
   }
 
-  StatusOr<RunOutcome> Run(Variant variant, Devices& devices) override {
-    switch (variant) {
-      case Variant::kSerial:
-        return RunCpuVariant(devices, 1);
-      case Variant::kOpenMP:
-        return RunCpuVariant(devices, 2);
-      case Variant::kOpenCL:
-        return RunGpuVariant(devices, false);
-      case Variant::kOpenCLOpt:
-        return RunGpuVariant(devices, true);
-      case Variant::kHetero:
-        break;  // resolved by RunVariant; raw dispatch is invalid
-    }
-    return InvalidArgumentError("bad variant");
-  }
-
   // §III knobs: value/column vector width of the main row loop and the
   // work-group size. The x gathers stay scalar at every width (see
-  // BuildGpuOpt), so the win from vec is modest — matching §V-A.
+  // BuildGpuKernel), so the win from vec is modest — matching §V-A.
   sim::TuningSpace TunableSpace() const override {
     sim::TuningSpace space;
     space.axes = {{"vec", {1, 2, 4}}, {"wg", {32, 64, 128}}};
@@ -113,63 +97,9 @@ class SpmvBenchmark final : public Benchmark {
     return config;
   }
 
-  StatusOr<RunOutcome> RunTuned(const sim::TuningConfig& config,
-                                Devices& devices) override {
-    MALI_CHECK(devices.gpu != nullptr);
-    const int vec = static_cast<int>(config.Get("vec", 4));
-    const std::uint64_t wg = static_cast<std::uint64_t>(config.Get("wg", 64));
-
-    StatusOr<kir::Program> program = BuildGpuTuned(vec);
-    if (!program.ok()) return program.status();
-    ocl::Context& ctx = *devices.gpu;
-
-    auto row_ptr =
-        detail::MakeGpuBuffer(ctx, row_ptr_.data(), row_ptr_.size() * 4);
-    if (!row_ptr.ok()) return row_ptr.status();
-    auto col_idx =
-        detail::MakeGpuBuffer(ctx, col_idx_.data(), col_idx_.size() * 4);
-    if (!col_idx.ok()) return col_idx.status();
-    auto vals = detail::MakeGpuBuffer(ctx, vals_.data(), vals_.bytes());
-    if (!vals.ok()) return vals.status();
-    auto x = detail::MakeGpuBuffer(ctx, x_.data(), x_.bytes());
-    if (!x.ok()) return x.status();
-    auto y = detail::MakeGpuBuffer(ctx, nullptr, x_.bytes());
-    if (!y.ok()) return y.status();
-
-    const std::string kernel_name = program->name;
-    std::vector<kir::Program> kernels;
-    kernels.push_back(*std::move(program));
-    std::shared_ptr<ocl::Program> prog = ctx.CreateProgram(std::move(kernels));
-    MALI_RETURN_IF_ERROR(prog->Build());
-    auto kernel = ctx.CreateKernel(prog, kernel_name);
-    if (!kernel.ok()) return kernel.status();
-    MALI_RETURN_IF_ERROR((*kernel)->SetArgBuffer(0, *row_ptr));
-    MALI_RETURN_IF_ERROR((*kernel)->SetArgBuffer(1, *col_idx));
-    MALI_RETURN_IF_ERROR((*kernel)->SetArgBuffer(2, *vals));
-    MALI_RETURN_IF_ERROR((*kernel)->SetArgBuffer(3, *x));
-    MALI_RETURN_IF_ERROR((*kernel)->SetArgBuffer(4, *y));
-
-    devices.gpu->device().FlushCaches();
-    detail::GpuLaunch launch;
-    launch.kernel = kernel->get();
-    launch.global[0] = rows_;
-    const std::uint64_t tuned_local[3] = {detail::TunedLocalSize(rows_, wg), 1,
-                                          1};
-    launch.local = tuned_local;
-    StatusOr<RunOutcome> outcome = detail::RunGpuLaunches(devices, {&launch, 1});
-    if (!outcome.ok()) return outcome;
-
-    FpBuffer result(fp64_, rows_);
-    MALI_RETURN_IF_ERROR(
-        detail::ReadGpuBuffer(ctx, **y, result.data(), result.bytes()));
-    detail::FinishValidation(&*outcome, detail::MaxRelError(result, ref_), tol());
-    return outcome;
-  }
-
   StatusOr<std::string> TunedKernelText(
       const sim::TuningConfig& config) const override {
-    StatusOr<kir::Program> program =
-        BuildGpuTuned(static_cast<int>(config.Get("vec", 4)));
+    StatusOr<kir::Program> program = BuildGpuKernel(&config);
     if (!program.ok()) return program.status();
     return kir::ToText(*program);
   }
@@ -210,73 +140,23 @@ class SpmvBenchmark final : public Benchmark {
     return kb.Build();
   }
 
-  StatusOr<kir::Program> BuildGpuNaive() const {
-    KernelBuilder kb("spmv_cl");
-    auto row_ptr = kb.ArgBuffer("row_ptr", kir::ScalarType::kI32, ArgKind::kBufferRO);
-    auto col_idx = kb.ArgBuffer("col_idx", kir::ScalarType::kI32, ArgKind::kBufferRO);
-    auto vals = kb.ArgBuffer("vals", ft(), ArgKind::kBufferRO);
-    auto x = kb.ArgBuffer("x", ft(), ArgKind::kBufferRO);
-    auto y = kb.ArgBuffer("y", ft(), ArgKind::kBufferWO);
-    EmitRowBody(kb, row_ptr, col_idx, vals, x, y, kb.GlobalId(0));
-    return kb.Build();
-  }
-
-  // Opt: vload4 over the row's values and column indices; the x gathers
-  // stay scalar (CSR gives no better option without the special data
-  // structures the paper explicitly does not use), which is why the gain
-  // is modest. Remainder entries are handled by a scalar tail loop.
-  StatusOr<kir::Program> BuildGpuOpt() const {
-    KernelBuilder kb("spmv_cl_opt");
+  /// The naive kernel (`config` null: the scalar row body) or the
+  /// optimized one with the §III-C qualifiers. At vec > 1 the main row loop
+  /// vloads `vec` values and column indices; the x gathers stay scalar (CSR
+  /// gives no better option without the special data structures the paper
+  /// explicitly does not use), which is why the gain is modest. Remainder
+  /// entries are handled by a scalar tail loop.
+  StatusOr<kir::Program> BuildGpuKernel(const sim::TuningConfig* config) const {
+    const bool opt = config != nullptr;
+    const int vec = opt ? static_cast<int>(config->Get("vec", 4)) : 1;
+    KernelBuilder kb(opt ? "spmv_cl_opt" : "spmv_cl");
     auto row_ptr = kb.ArgBuffer("row_ptr", kir::ScalarType::kI32,
-                                ArgKind::kBufferRO, true, true);
+                                ArgKind::kBufferRO, opt, opt);
     auto col_idx = kb.ArgBuffer("col_idx", kir::ScalarType::kI32,
-                                ArgKind::kBufferRO, true, true);
-    auto vals = kb.ArgBuffer("vals", ft(), ArgKind::kBufferRO, true, true);
-    auto x = kb.ArgBuffer("x", ft(), ArgKind::kBufferRO, true, true);
-    auto y = kb.ArgBuffer("y", ft(), ArgKind::kBufferWO, true, false);
-    Val row = kb.GlobalId(0);
-    Val begin = kb.Load(row_ptr, row);
-    Val end = kb.Load(row_ptr, row, 1);
-    Val span = kb.Binary(Opcode::kSub, end, begin);
-    Val rem = kb.Binary(Opcode::kIRem, span, kb.ConstI(kir::I32(), 4));
-    Val main_end = kb.Binary(Opcode::kSub, end, rem);
-
-    Val acc4 = kb.Var(kir::FloatType(fp64_, 4), "acc4");
-    kb.Assign(acc4, detail::FConst(kb, fp64_, 0.0, 4));
-    kb.For("k", begin, main_end, 4, [&](Val k) {
-      Val v4 = kb.Load(vals, k, 0, 4);
-      Val c4 = kb.Load(col_idx, k, 0, 4);
-      // Gather x at the four columns: lane extracts + scalar loads.
-      Val g = kb.Var(kir::FloatType(fp64_, 4), "gather");
-      kb.Assign(g, detail::FConst(kb, fp64_, 0.0, 4));
-      for (int l = 0; l < 4; ++l) {
-        Val xs = kb.Load(x, kb.Extract(c4, l));
-        g = kb.Insert(g, l, xs);
-      }
-      kb.Assign(acc4, kb.Fma(v4, g, acc4));
-    });
-    Val acc = kb.Var(kir::FloatType(fp64_), "acc");
-    kb.Assign(acc, kb.VSum(acc4));
-    kb.For("k2", main_end, end, 1, [&](Val k) {
-      Val col = kb.Load(col_idx, k);
-      kb.Assign(acc, kb.Fma(kb.Load(vals, k), kb.Load(x, col), acc));
-    });
-    kb.Store(y, row, acc);
-    return kb.Build();
-  }
-
-  /// BuildGpuOpt generalized over the main-loop vector width. vec == 1 is
-  /// the scalar row body with the §III-C qualifiers; vec > 1 vectorizes
-  /// values/columns with a scalar tail, exactly like the fixed opt kernel.
-  StatusOr<kir::Program> BuildGpuTuned(int vec) const {
-    KernelBuilder kb("spmv_cl_tuned");
-    auto row_ptr = kb.ArgBuffer("row_ptr", kir::ScalarType::kI32,
-                                ArgKind::kBufferRO, true, true);
-    auto col_idx = kb.ArgBuffer("col_idx", kir::ScalarType::kI32,
-                                ArgKind::kBufferRO, true, true);
-    auto vals = kb.ArgBuffer("vals", ft(), ArgKind::kBufferRO, true, true);
-    auto x = kb.ArgBuffer("x", ft(), ArgKind::kBufferRO, true, true);
-    auto y = kb.ArgBuffer("y", ft(), ArgKind::kBufferWO, true, false);
+                                ArgKind::kBufferRO, opt, opt);
+    auto vals = kb.ArgBuffer("vals", ft(), ArgKind::kBufferRO, opt, opt);
+    auto x = kb.ArgBuffer("x", ft(), ArgKind::kBufferRO, opt, opt);
+    auto y = kb.ArgBuffer("y", ft(), ArgKind::kBufferWO, opt, false);
     Val row = kb.GlobalId(0);
     if (vec <= 1) {
       EmitRowBody(kb, row_ptr, col_idx, vals, x, y, row);
@@ -312,7 +192,7 @@ class SpmvBenchmark final : public Benchmark {
     return kb.Build();
   }
 
-  StatusOr<RunOutcome> RunCpuVariant(Devices& devices, int threads) {
+  StatusOr<RunOutcome> RunCpuVariant(Devices& devices, int threads) override {
     StatusOr<kir::Program> program = BuildCpuKernel();
     if (!program.ok()) return program.status();
     FpBuffer y(fp64_, rows_);
@@ -331,9 +211,9 @@ class SpmvBenchmark final : public Benchmark {
     return outcome;
   }
 
-  StatusOr<RunOutcome> RunGpuVariant(Devices& devices, bool optimized) {
-    StatusOr<kir::Program> program =
-        optimized ? BuildGpuOpt() : BuildGpuNaive();
+  StatusOr<RunOutcome> RunGpuVariant(Devices& devices,
+                                     const sim::TuningConfig* config) override {
+    StatusOr<kir::Program> program = BuildGpuKernel(config);
     if (!program.ok()) return program.status();
     ocl::Context& ctx = *devices.gpu;
 
@@ -350,26 +230,14 @@ class SpmvBenchmark final : public Benchmark {
     auto y = detail::MakeGpuBuffer(ctx, nullptr, x_.bytes());
     if (!y.ok()) return y.status();
 
-    const std::string kernel_name = program->name;
-    std::vector<kir::Program> kernels;
-    kernels.push_back(*std::move(program));
-    std::shared_ptr<ocl::Program> prog = ctx.CreateProgram(std::move(kernels));
-    MALI_RETURN_IF_ERROR(prog->Build());
-    auto kernel = ctx.CreateKernel(prog, kernel_name);
-    if (!kernel.ok()) return kernel.status();
-    MALI_RETURN_IF_ERROR((*kernel)->SetArgBuffer(0, *row_ptr));
-    MALI_RETURN_IF_ERROR((*kernel)->SetArgBuffer(1, *col_idx));
-    MALI_RETURN_IF_ERROR((*kernel)->SetArgBuffer(2, *vals));
-    MALI_RETURN_IF_ERROR((*kernel)->SetArgBuffer(3, *x));
-    MALI_RETURN_IF_ERROR((*kernel)->SetArgBuffer(4, *y));
-
-    devices.gpu->device().FlushCaches();
-    detail::GpuLaunch launch;
-    launch.kernel = kernel->get();
-    launch.global[0] = rows_;
-    const std::uint64_t tuned_local[3] = {detail::TunedLocalSize(rows_, 64), 1, 1};
-    launch.local = optimized ? tuned_local : nullptr;
-    StatusOr<RunOutcome> outcome = detail::RunGpuLaunches(devices, {&launch, 1});
+    detail::GpuKernel kernel{*std::move(program),
+                             {*row_ptr, *col_idx, *vals, *x, *y}};
+    kernel.global[0] = rows_;
+    if (config != nullptr) {
+      kernel.local[0] = detail::TunedLocalSize(
+          rows_, static_cast<std::uint64_t>(config->Get("wg", 64)));
+    }
+    StatusOr<RunOutcome> outcome = detail::RunGpuKernels(devices, {&kernel, 1});
     if (!outcome.ok()) return outcome;
 
     FpBuffer result(fp64_, rows_);

@@ -60,25 +60,9 @@ class Stencil3DBenchmark final : public Benchmark {
     return Status::Ok();
   }
 
-  StatusOr<RunOutcome> Run(Variant variant, Devices& devices) override {
-    switch (variant) {
-      case Variant::kSerial:
-        return RunCpuVariant(devices, 1);
-      case Variant::kOpenMP:
-        return RunCpuVariant(devices, 2);
-      case Variant::kOpenCL:
-        return RunGpuVariant(devices, false);
-      case Variant::kOpenCLOpt:
-        return RunGpuVariant(devices, true);
-      case Variant::kHetero:
-        break;  // resolved by RunVariant; raw dispatch is invalid
-    }
-    return InvalidArgumentError("bad variant");
-  }
-
   // §V-A: "3dstc ... limits the optimizations to work-group size tuning and
   // data reuse" — the tunable surface is exactly the 3D work-group shape;
-  // the kernel itself is the fixed optimized one.
+  // every point runs the same optimized kernel.
   sim::TuningSpace TunableSpace() const override {
     sim::TuningSpace space;
     space.axes = {{"wgx", {16, 32, 64}}, {"wgy", {1, 2, 4}},
@@ -96,54 +80,6 @@ class Stencil3DBenchmark final : public Benchmark {
     config.Set("wgy", 2);
     config.Set("wgz", 2);
     return config;
-  }
-
-  StatusOr<RunOutcome> RunTuned(const sim::TuningConfig& config,
-                                Devices& devices) override {
-    MALI_CHECK(devices.gpu != nullptr);
-    StatusOr<kir::Program> program = BuildGpuKernel(/*optimized=*/true);
-    if (!program.ok()) return program.status();
-    ocl::Context& ctx = *devices.gpu;
-    auto in = detail::MakeGpuBuffer(ctx, in_.data(), in_.bytes());
-    if (!in.ok()) return in.status();
-    auto out = detail::MakeGpuBuffer(ctx, nullptr, in_.bytes());
-    if (!out.ok()) return out.status();
-
-    const std::string kernel_name = program->name;
-    std::vector<kir::Program> kernels;
-    kernels.push_back(*std::move(program));
-    std::shared_ptr<ocl::Program> prog = ctx.CreateProgram(std::move(kernels));
-    MALI_RETURN_IF_ERROR(prog->Build());
-    auto kernel = ctx.CreateKernel(prog, kernel_name);
-    if (!kernel.ok()) return kernel.status();
-    MALI_RETURN_IF_ERROR((*kernel)->SetArgBuffer(0, *in));
-    MALI_RETURN_IF_ERROR((*kernel)->SetArgBuffer(1, *out));
-    MALI_RETURN_IF_ERROR(
-        (*kernel)->SetArgI32(2, static_cast<std::int32_t>(dim_)));
-
-    devices.gpu->device().FlushCaches();
-    detail::GpuLaunch launch;
-    launch.kernel = kernel->get();
-    launch.work_dim = 3;
-    launch.global[0] = dim_;
-    launch.global[1] = dim_;
-    launch.global[2] = dim_;
-    const std::uint64_t tuned_local[3] = {
-        detail::TunedLocalSize(
-            dim_, static_cast<std::uint64_t>(config.Get("wgx", 64))),
-        detail::TunedLocalSize(
-            dim_, static_cast<std::uint64_t>(config.Get("wgy", 2))),
-        detail::TunedLocalSize(
-            dim_, static_cast<std::uint64_t>(config.Get("wgz", 2)))};
-    launch.local = tuned_local;
-    StatusOr<RunOutcome> outcome = detail::RunGpuLaunches(devices, {&launch, 1});
-    if (!outcome.ok()) return outcome;
-
-    FpBuffer result(fp64_, Volume());
-    MALI_RETURN_IF_ERROR(
-        detail::ReadGpuBuffer(ctx, **out, result.data(), result.bytes()));
-    detail::FinishValidation(&*outcome, detail::MaxRelError(result, ref_), tol());
-    return outcome;
   }
 
   StatusOr<std::string> TunedKernelText(
@@ -230,7 +166,7 @@ class Stencil3DBenchmark final : public Benchmark {
     return kb.Build();
   }
 
-  StatusOr<RunOutcome> RunCpuVariant(Devices& devices, int threads) {
+  StatusOr<RunOutcome> RunCpuVariant(Devices& devices, int threads) override {
     StatusOr<kir::Program> program = BuildCpuKernel();
     if (!program.ok()) return program.status();
     FpBuffer out(fp64_, Volume());
@@ -245,8 +181,9 @@ class Stencil3DBenchmark final : public Benchmark {
     return outcome;
   }
 
-  StatusOr<RunOutcome> RunGpuVariant(Devices& devices, bool optimized) {
-    StatusOr<kir::Program> program = BuildGpuKernel(optimized);
+  StatusOr<RunOutcome> RunGpuVariant(Devices& devices,
+                                     const sim::TuningConfig* config) override {
+    StatusOr<kir::Program> program = BuildGpuKernel(config != nullptr);
     if (!program.ok()) return program.status();
     ocl::Context& ctx = *devices.gpu;
     auto in = detail::MakeGpuBuffer(ctx, in_.data(), in_.bytes());
@@ -254,32 +191,25 @@ class Stencil3DBenchmark final : public Benchmark {
     auto out = detail::MakeGpuBuffer(ctx, nullptr, in_.bytes());
     if (!out.ok()) return out.status();
 
-    const std::string kernel_name = program->name;
-    std::vector<kir::Program> kernels;
-    kernels.push_back(*std::move(program));
-    std::shared_ptr<ocl::Program> prog = ctx.CreateProgram(std::move(kernels));
-    MALI_RETURN_IF_ERROR(prog->Build());
-    auto kernel = ctx.CreateKernel(prog, kernel_name);
-    if (!kernel.ok()) return kernel.status();
-    MALI_RETURN_IF_ERROR((*kernel)->SetArgBuffer(0, *in));
-    MALI_RETURN_IF_ERROR((*kernel)->SetArgBuffer(1, *out));
-    MALI_RETURN_IF_ERROR(
-        (*kernel)->SetArgI32(2, static_cast<std::int32_t>(dim_)));
-
-    devices.gpu->device().FlushCaches();
-    detail::GpuLaunch launch;
-    launch.kernel = kernel->get();
-    launch.work_dim = 3;
-    launch.global[0] = dim_;
-    launch.global[1] = dim_;
-    launch.global[2] = dim_;
-    // Opt: a flat 64x2x2 block walks x fastest -> line reuse in L1 across
-    // the y/z neighbours of the same block (§V-A "data reuse").
-    const std::uint64_t tuned_local[3] = {
-        detail::TunedLocalSize(dim_, 64), detail::TunedLocalSize(dim_, 2),
-        detail::TunedLocalSize(dim_, 2)};
-    launch.local = optimized ? tuned_local : nullptr;
-    StatusOr<RunOutcome> outcome = detail::RunGpuLaunches(devices, {&launch, 1});
+    detail::GpuKernel kernel{*std::move(program),
+                             {*in, *out, static_cast<std::int32_t>(dim_)}};
+    kernel.work_dim = 3;
+    kernel.global[0] = dim_;
+    kernel.global[1] = dim_;
+    kernel.global[2] = dim_;
+    if (config != nullptr) {
+      // Opt: a flat block (paper point 64x2x2) walks x fastest -> line reuse
+      // in L1 across the y/z neighbours of the same block (§V-A "data
+      // reuse").
+      auto local = [&](const char* axis, std::int64_t paper) {
+        return detail::TunedLocalSize(
+            dim_, static_cast<std::uint64_t>(config->Get(axis, paper)));
+      };
+      kernel.local[0] = local("wgx", 64);
+      kernel.local[1] = local("wgy", 2);
+      kernel.local[2] = local("wgz", 2);
+    }
+    StatusOr<RunOutcome> outcome = detail::RunGpuKernels(devices, {&kernel, 1});
     if (!outcome.ok()) return outcome;
 
     FpBuffer result(fp64_, Volume());

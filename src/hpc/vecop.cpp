@@ -48,22 +48,6 @@ class VecopBenchmark final : public Benchmark {
     return Status::Ok();
   }
 
-  StatusOr<RunOutcome> Run(Variant variant, Devices& devices) override {
-    switch (variant) {
-      case Variant::kSerial:
-        return RunCpuVariant(devices, 1);
-      case Variant::kOpenMP:
-        return RunCpuVariant(devices, 2);
-      case Variant::kOpenCL:
-        return RunGpuVariant(devices, /*optimized=*/false);
-      case Variant::kOpenCLOpt:
-        return RunGpuVariant(devices, /*optimized=*/true);
-      case Variant::kHetero:
-        break;  // resolved by RunVariant; raw dispatch is invalid
-    }
-    return InvalidArgumentError("bad variant");
-  }
-
   // §III knobs: vector width, work-group size, and the map-vs-copy buffer
   // strategy (§III-A) — vecop is the benchmark where the copy overhead is
   // most visible because the kernel itself is pure bandwidth.
@@ -86,60 +70,9 @@ class VecopBenchmark final : public Benchmark {
     return config;
   }
 
-  StatusOr<RunOutcome> RunTuned(const sim::TuningConfig& config,
-                                Devices& devices) override {
-    MALI_CHECK(devices.gpu != nullptr);
-    const int vec = static_cast<int>(config.Get("vec", 4));
-    const std::uint64_t wg = static_cast<std::uint64_t>(config.Get("wg", 128));
-    const bool copy = config.Get("copy", 0) != 0;
-
-    StatusOr<kir::Program> program = BuildGpuTuned(vec);
-    if (!program.ok()) return program.status();
-    ocl::Context& ctx = *devices.gpu;
-    detail::TunedBufferSet buffers(ctx, copy);
-
-    auto a = buffers.Make(a_.data(), a_.bytes());
-    if (!a.ok()) return a.status();
-    auto b = buffers.Make(b_.data(), b_.bytes());
-    if (!b.ok()) return b.status();
-    auto c = buffers.Make(nullptr, a_.bytes());
-    if (!c.ok()) return c.status();
-
-    std::vector<kir::Program> kernels;
-    kernels.push_back(*std::move(program));
-    const std::string kernel_name = kernels.front().name;
-    std::shared_ptr<ocl::Program> prog = ctx.CreateProgram(std::move(kernels));
-    MALI_RETURN_IF_ERROR(prog->Build());
-    StatusOr<std::shared_ptr<ocl::Kernel>> kernel =
-        ctx.CreateKernel(prog, kernel_name);
-    if (!kernel.ok()) return kernel.status();
-    MALI_RETURN_IF_ERROR((*kernel)->SetArgBuffer(0, *a));
-    MALI_RETURN_IF_ERROR((*kernel)->SetArgBuffer(1, *b));
-    MALI_RETURN_IF_ERROR((*kernel)->SetArgBuffer(2, *c));
-
-    devices.gpu->device().FlushCaches();
-    detail::GpuLaunch launch;
-    launch.kernel = kernel->get();
-    launch.work_dim = 1;
-    launch.global[0] = n_ / static_cast<std::uint64_t>(vec);
-    const std::uint64_t tuned_local[3] = {
-        detail::TunedLocalSize(launch.global[0], wg), 1, 1};
-    launch.local = tuned_local;
-    StatusOr<RunOutcome> outcome =
-        detail::RunGpuLaunches(devices, {&launch, 1});
-    if (!outcome.ok()) return outcome;
-
-    FpBuffer result(fp64_, n_);
-    MALI_RETURN_IF_ERROR(buffers.Read(**c, result.data(), result.bytes()));
-    buffers.ChargeTransfers(&*outcome);
-    detail::FinishValidation(&*outcome, detail::MaxRelError(result, ref_), 1e-5);
-    return outcome;
-  }
-
   StatusOr<std::string> TunedKernelText(
       const sim::TuningConfig& config) const override {
-    StatusOr<kir::Program> program =
-        BuildGpuTuned(static_cast<int>(config.Get("vec", 4)));
+    StatusOr<kir::Program> program = BuildGpuKernel(&config);
     if (!program.ok()) return program.status();
     return kir::ToText(*program);
   }
@@ -162,7 +95,7 @@ class VecopBenchmark final : public Benchmark {
     return kb.Build();
   }
 
-  StatusOr<RunOutcome> RunCpuVariant(Devices& devices, int threads) {
+  StatusOr<RunOutcome> RunCpuVariant(Devices& devices, int threads) override {
     StatusOr<kir::Program> program = BuildCpuKernel();
     if (!program.ok()) return program.status();
     FpBuffer c(fp64_, n_);
@@ -179,38 +112,17 @@ class VecopBenchmark final : public Benchmark {
     return outcome;
   }
 
-  StatusOr<kir::Program> BuildGpuNaive() const {
-    KernelBuilder kb("vecop_cl");
-    auto a = kb.ArgBuffer("a", ft(), ArgKind::kBufferRO);
-    auto b = kb.ArgBuffer("b", ft(), ArgKind::kBufferRO);
-    auto c = kb.ArgBuffer("c", ft(), ArgKind::kBufferWO);
-    Val gid = kb.GlobalId(0);
-    kb.Store(c, gid, kb.Load(a, gid) + kb.Load(b, gid));
-    return kb.Build();
-  }
-
-  StatusOr<kir::Program> BuildGpuOpt() const {
-    KernelBuilder kb("vecop_cl_opt");
-    auto a = kb.ArgBuffer("a", ft(), ArgKind::kBufferRO, /*is_restrict=*/true,
-                          /*is_const=*/true);
-    auto b = kb.ArgBuffer("b", ft(), ArgKind::kBufferRO, true, true);
-    auto c = kb.ArgBuffer("c", ft(), ArgKind::kBufferWO, true, false);
-    Val gid = kb.GlobalId(0);
-    Val base = kb.Binary(kir::Opcode::kMul, gid, kb.ConstI(kir::I32(), 4));
-    Val va = kb.Load(a, base, 0, 4);
-    Val vb = kb.Load(b, base, 0, 4);
-    kb.Store(c, base, va + vb);
-    return kb.Build();
-  }
-
-  /// The optimized kernel generalized over vector width: vec == 1 is the
-  /// naive body plus the §III-C qualifiers, vec > 1 the vloadN/vstoreN form.
-  StatusOr<kir::Program> BuildGpuTuned(int vec) const {
-    KernelBuilder kb("vecop_cl_tuned");
-    auto a = kb.ArgBuffer("a", ft(), ArgKind::kBufferRO, /*is_restrict=*/true,
-                          /*is_const=*/true);
-    auto b = kb.ArgBuffer("b", ft(), ArgKind::kBufferRO, true, true);
-    auto c = kb.ArgBuffer("c", ft(), ArgKind::kBufferWO, true, false);
+  /// The naive kernel (`config` null: one element per work-item, scalar
+  /// loads) or the optimized one: §III-C restrict/const qualifiers, and at
+  /// vec > 1 the §III-B vloadN/vstoreN form, N elements per work-item.
+  StatusOr<kir::Program> BuildGpuKernel(const sim::TuningConfig* config) const {
+    const bool opt = config != nullptr;
+    const int vec = opt ? static_cast<int>(config->Get("vec", 4)) : 1;
+    KernelBuilder kb(opt ? "vecop_cl_opt" : "vecop_cl");
+    auto a = kb.ArgBuffer("a", ft(), ArgKind::kBufferRO, /*is_restrict=*/opt,
+                          /*is_const=*/opt);
+    auto b = kb.ArgBuffer("b", ft(), ArgKind::kBufferRO, opt, opt);
+    auto c = kb.ArgBuffer("c", ft(), ArgKind::kBufferWO, opt, false);
     Val gid = kb.GlobalId(0);
     if (vec <= 1) {
       kb.Store(c, gid, kb.Load(a, gid) + kb.Load(b, gid));
@@ -224,51 +136,35 @@ class VecopBenchmark final : public Benchmark {
     return kb.Build();
   }
 
-  StatusOr<RunOutcome> RunGpuVariant(Devices& devices, bool optimized) {
-    StatusOr<kir::Program> program =
-        optimized ? BuildGpuOpt() : BuildGpuNaive();
+  StatusOr<RunOutcome> RunGpuVariant(Devices& devices,
+                                     const sim::TuningConfig* config) override {
+    const bool opt = config != nullptr;
+    const std::uint64_t vec = opt ? config->Get("vec", 4) : 1;
+    StatusOr<kir::Program> program = BuildGpuKernel(config);
     if (!program.ok()) return program.status();
-    ocl::Context& ctx = *devices.gpu;
-
-    auto a = detail::MakeGpuBuffer(ctx, a_.data(), a_.bytes());
+    detail::TunedBufferSet buffers(*devices.gpu,
+                                   opt && config->Get("copy", 0) != 0);
+    auto a = buffers.Make(a_.data(), a_.bytes());
     if (!a.ok()) return a.status();
-    auto b = detail::MakeGpuBuffer(ctx, b_.data(), b_.bytes());
+    auto b = buffers.Make(b_.data(), b_.bytes());
     if (!b.ok()) return b.status();
-    auto c = detail::MakeGpuBuffer(ctx, nullptr, a_.bytes());
+    auto c = buffers.Make(nullptr, a_.bytes());
     if (!c.ok()) return c.status();
 
-    std::vector<kir::Program> kernels;
-    kernels.push_back(*std::move(program));
-    const std::string kernel_name = kernels.front().name;
-    std::shared_ptr<ocl::Program> prog = ctx.CreateProgram(std::move(kernels));
-    MALI_RETURN_IF_ERROR(prog->Build());
-    StatusOr<std::shared_ptr<ocl::Kernel>> kernel =
-        ctx.CreateKernel(prog, kernel_name);
-    if (!kernel.ok()) return kernel.status();
-    MALI_RETURN_IF_ERROR((*kernel)->SetArgBuffer(0, *a));
-    MALI_RETURN_IF_ERROR((*kernel)->SetArgBuffer(1, *b));
-    MALI_RETURN_IF_ERROR((*kernel)->SetArgBuffer(2, *c));
-
-    devices.gpu->device().FlushCaches();
-    detail::GpuLaunch launch;
-    launch.kernel = kernel->get();
-    launch.work_dim = 1;
-    const std::uint64_t tuned_local[3] = {
-        detail::TunedLocalSize(n_ / 4, 128), 1, 1};
-    if (optimized) {
-      launch.global[0] = n_ / 4;
-      launch.local = tuned_local;
-    } else {
-      launch.global[0] = n_;
-      launch.local = nullptr;  // §III-A: driver picks the work-group size
+    detail::GpuKernel kernel{*std::move(program), {*a, *b, *c}};
+    kernel.global[0] = n_ / vec;
+    if (opt) {
+      // §III-A: a tuned work-group size; the naive version leaves the
+      // choice to the driver.
+      kernel.local[0] = detail::TunedLocalSize(
+          kernel.global[0], static_cast<std::uint64_t>(config->Get("wg", 128)));
     }
-    StatusOr<RunOutcome> outcome =
-        detail::RunGpuLaunches(devices, {&launch, 1});
+    StatusOr<RunOutcome> outcome = detail::RunGpuKernels(devices, {&kernel, 1});
     if (!outcome.ok()) return outcome;
 
     FpBuffer result(fp64_, n_);
-    MALI_RETURN_IF_ERROR(
-        detail::ReadGpuBuffer(ctx, **c, result.data(), result.bytes()));
+    MALI_RETURN_IF_ERROR(buffers.Read(**c, result.data(), result.bytes()));
+    buffers.ChargeTransfers(&*outcome);
     detail::FinishValidation(&*outcome, detail::MaxRelError(result, ref_), 1e-5);
     return outcome;
   }

@@ -8,11 +8,24 @@
 namespace malisim::kir {
 namespace {
 
+/// Appends each part to `out` in place. Text is built this way throughout:
+/// GCC 12 reports a false -Wrestrict overlap inside libstdc++ for
+/// `"literal" + std::string` temporaries.
+template <typename... Parts>
+void Append(std::string& out, const Parts&... parts) {
+  (out += ... += parts);
+}
+
 std::string RegName(const Program& p, RegId r) {
   if (r == kNoReg) return "_";
   const RegInfo& info = p.regs[r];
-  std::string out = info.name.empty() ? "r" + std::to_string(r) : "%" + info.name;
-  out += ":" + info.type.ToString();
+  std::string out;
+  if (info.name.empty()) {
+    Append(out, "r", std::to_string(r));
+  } else {
+    Append(out, "%", info.name);
+  }
+  Append(out, ":", info.type.ToString());
   return out;
 }
 
@@ -20,7 +33,7 @@ std::string RegName(const Program& p, RegId r) {
 
 std::string Type::ToString() const {
   std::string out = ScalarTypeName(scalar);
-  if (lanes > 1) out += "x" + std::to_string(lanes);
+  if (lanes > 1) Append(out, "x", std::to_string(lanes));
   return out;
 }
 
@@ -39,7 +52,8 @@ std::string ScalarTypeName(ScalarType t) {
 }
 
 std::string ToText(const Program& p) {
-  std::string out = "kernel " + p.name + "(";
+  std::string out;
+  Append(out, "kernel ", p.name, "(");
   for (std::size_t i = 0; i < p.args.size(); ++i) {
     if (i > 0) out += ", ";
     const ArgDecl& arg = p.args[i];
@@ -60,12 +74,12 @@ std::string ToText(const Program& p) {
     out += ScalarTypeName(arg.elem);
     if (arg.kind != ArgKind::kScalar) out += "*";
     if (arg.is_restrict) out += " restrict";
-    out += " " + arg.name;
+    Append(out, " ", arg.name);
   }
   out += ")\n";
   for (const LocalArrayDecl& local : p.locals) {
-    out += "  local " + ScalarTypeName(local.elem) + " " + local.name + "[" +
-           std::to_string(local.elems) + "]\n";
+    Append(out, "  local ", ScalarTypeName(local.elem), " ", local.name, "[",
+           std::to_string(local.elems), "]\n");
   }
 
   int indent = 1;
@@ -76,11 +90,13 @@ std::string ToText(const Program& p) {
       --indent;
     }
     out += std::string(static_cast<std::size_t>(indent) * 2, ' ');
-    out += std::to_string(i) + ": " + std::string(OpcodeName(in.op));
-    if (in.dst != kNoReg) out += " " + RegName(p, in.dst);
-    if (in.a != kNoReg) out += (in.dst != kNoReg ? ", " : " ") + RegName(p, in.a);
-    if (in.b != kNoReg) out += ", " + RegName(p, in.b);
-    if (in.c != kNoReg) out += ", " + RegName(p, in.c);
+    Append(out, std::to_string(i), ": ", OpcodeName(in.op));
+    if (in.dst != kNoReg) Append(out, " ", RegName(p, in.dst));
+    if (in.a != kNoReg) {
+      Append(out, in.dst != kNoReg ? ", " : " ", RegName(p, in.a));
+    }
+    if (in.b != kNoReg) Append(out, ", ", RegName(p, in.b));
+    if (in.c != kNoReg) Append(out, ", ", RegName(p, in.c));
     switch (in.op) {
       case Opcode::kConstF: {
         char buf[64];
@@ -101,16 +117,16 @@ std::string ToText(const Program& p) {
       case Opcode::kExtract:
       case Opcode::kInsert:
       case Opcode::kSlide:
-        out += " " + std::to_string(in.imm);
+        Append(out, " ", std::to_string(in.imm));
         break;
       case Opcode::kLoad:
       case Opcode::kStore:
       case Opcode::kAtomicAddI32:
-        out += " slot=" + std::to_string(in.slot) +
-               " off=" + std::to_string(in.imm);
+        Append(out, " slot=", std::to_string(in.slot), " off=",
+               std::to_string(in.imm));
         break;
       case Opcode::kLoopBegin:
-        out += " step=" + std::to_string(in.imm);
+        Append(out, " step=", std::to_string(in.imm));
         break;
       default:
         break;

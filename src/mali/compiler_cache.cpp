@@ -1,46 +1,21 @@
 #include "mali/compiler_cache.h"
 
-#include <cstring>
+#include "common/fnv1a.h"
 
 namespace malisim::mali {
-namespace {
-
-std::uint64_t Fnv1a64Bytes(std::uint64_t h, const void* data,
-                           std::size_t len) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-std::uint64_t MixU32(std::uint64_t h, std::uint32_t v) {
-  return Fnv1a64Bytes(h, &v, sizeof(v));
-}
-
-std::uint64_t MixDouble(std::uint64_t h, double v) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  return Fnv1a64Bytes(h, &bits, sizeof(bits));
-}
-
-}  // namespace
 
 std::uint64_t CompileCache::Key(const kir::Program& program,
                                 const MaliTimingParams& timing) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
-  const std::string text = kir::ToText(program);
-  h = Fnv1a64Bytes(h, text.data(), text.size());
   // Every timing field the pure compile (AnalyzeForMali) reads. The fault
   // gates read more (via the injector), but those run outside the cache.
-  h = MixU32(h, timing.max_thread_reg_bytes);
-  h = MixU32(h, timing.reg_file_bytes_per_core);
-  h = MixU32(h, timing.max_threads_per_core);
-  h = MixDouble(h, timing.restrict_sched_factor);
-  h = MixDouble(h, timing.const_sched_factor);
-  return h;
+  return Fnv1a()
+      .Bytes(kir::ToText(program))
+      .Int(timing.max_thread_reg_bytes, 4)
+      .Int(timing.reg_file_bytes_per_core, 4)
+      .Int(timing.max_threads_per_core, 4)
+      .Double(timing.restrict_sched_factor)
+      .Double(timing.const_sched_factor)
+      .digest();
 }
 
 std::shared_ptr<const CompileCache::Entry> CompileCache::Lookup(

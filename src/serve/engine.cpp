@@ -4,6 +4,7 @@
 #include <span>
 #include <utility>
 
+#include "common/fnv1a.h"
 #include "common/json.h"
 #include "common/log.h"
 #include "common/table.h"
@@ -22,15 +23,12 @@ namespace {
 /// whole replay contract: re-running job N alone reproduces its faults.
 std::uint64_t JobFaultSeed(std::uint64_t base_seed, std::uint64_t job_id,
                            hpc::Variant rung) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  auto mix = [&h](std::uint64_t byte) {
-    h ^= byte & 0xffULL;
-    h *= 0x100000001b3ULL;
-  };
-  for (int i = 0; i < 8; ++i) mix(job_id >> (8 * i));
-  mix(0xffULL);  // separator
-  mix(static_cast<std::uint64_t>(rung));
-  return h ^ base_seed ^ 0x5e27eULL;
+  return Fnv1a()
+             .Int(job_id)
+             .Byte(0xff)  // separator
+             .Byte(static_cast<std::uint8_t>(rung))
+             .digest() ^
+         base_seed ^ 0x5e27eULL;
 }
 
 /// The ladder from `requested` down (inclusive).

@@ -160,7 +160,7 @@ class ServeEngine {
   /// job's consumed-budget timeline.
   JobResult RunJob(const JobSpec& job, std::vector<obs::JobRungSpan>* spans);
   /// Memoized tuned config for the kOpenCLOpt rung; nullptr when
-  /// autotuning is off or tuning failed (fixed paper kernel runs instead).
+  /// autotuning is off or tuning failed (the paper point runs instead).
   const sim::TuningConfig* TunedConfigFor(const JobSpec& job);
   void RecordResult(JobResult result, std::vector<obs::JobRungSpan> spans = {});
 

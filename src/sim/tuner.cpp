@@ -337,15 +337,6 @@ StatusOr<TunerResult> Tuner::Search(const TuningSpace& space,
   return std::move(state.result);
 }
 
-std::uint64_t Fnv1a64(std::string_view text) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 std::string DeviceCapsKey(const DeviceCaps& caps) {
   // throughput_hint is deliberately absent: it seeds the hetero split's
   // self-tuning but never feeds a modelled time, so it cannot change a

@@ -44,6 +44,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/fnv1a.h"
 #include "common/status.h"
 #include "sim/device.h"
 
@@ -180,10 +181,6 @@ class Tuner {
  private:
   TunerOptions options_;
 };
-
-/// FNV-1a 64-bit hash, the content-address primitive for fingerprints and
-/// cache keys.
-std::uint64_t Fnv1a64(std::string_view text);
 
 /// Canonical capability string entering the cache key: a configuration
 /// change on the modelled device (clock, core count, work-group limit)

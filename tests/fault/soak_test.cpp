@@ -72,9 +72,9 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(SoakCase{101, false}, SoakCase{101, true},
                       SoakCase{202, false}, SoakCase{202, true},
                       SoakCase{303, false}, SoakCase{303, true}),
-    [](const ::testing::TestParamInfo<SoakCase>& info) {
-      return "seed" + std::to_string(info.param.fault_seed) +
-             (info.param.fp64 ? "_fp64" : "_fp32");
+    [](const ::testing::TestParamInfo<SoakCase>& case_info) {
+      return "seed" + std::to_string(case_info.param.fault_seed) +
+             (case_info.param.fp64 ? "_fp64" : "_fp32");
     });
 
 // ---------------------------------------------------------------------------

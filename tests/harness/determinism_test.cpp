@@ -107,9 +107,9 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(Case{"vecop", false}, Case{"vecop", true},
                       Case{"hist", false}, Case{"hist", true},
                       Case{"dmmm", false}, Case{"dmmm", true}),
-    [](const ::testing::TestParamInfo<Case>& info) {
-      return std::string(info.param.benchmark) +
-             (info.param.fp64 ? "_fp64" : "_fp32");
+    [](const ::testing::TestParamInfo<Case>& case_info) {
+      return std::string(case_info.param.benchmark) +
+             (case_info.param.fp64 ? "_fp64" : "_fp32");
     });
 
 TEST(EngineDeterminismTest, ParallelRunAllMatchesSerialBitwise) {
@@ -264,8 +264,8 @@ INSTANTIATE_TEST_SUITE_P(
         GpuCase{"elementwise", &ElementwiseKernel, 1 << 12, 64, (1 << 12) * 4},
         GpuCase{"hist_like", &HistLikeKernel, 1 << 12, 16, 16 * 4},
         GpuCase{"tiled", &TiledSumKernel, 1 << 12, 32, (1 << 12) * 4}),
-    [](const ::testing::TestParamInfo<GpuCase>& info) {
-      return info.param.name;
+    [](const ::testing::TestParamInfo<GpuCase>& case_info) {
+      return case_info.param.name;
     });
 
 TEST(CpuDeviceDeterminismTest, OutputAndTimingBitIdenticalAcrossThreads) {

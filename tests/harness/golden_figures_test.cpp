@@ -87,8 +87,8 @@ TEST_P(GoldenFiguresTest, ReducedSweepMatchesGoldenExactly) {
 
 INSTANTIATE_TEST_SUITE_P(Precisions, GoldenFiguresTest,
                          ::testing::Values(false, true),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "fp64" : "fp32";
+                         [](const ::testing::TestParamInfo<bool>& case_info) {
+                           return case_info.param ? "fp64" : "fp32";
                          });
 
 /// The summary statistics derive purely from the per-variant metrics, so

@@ -86,6 +86,7 @@ std::string CaseName(const ::testing::TestParamInfo<VariantCase>& info) {
     case Variant::kOpenMP: n += "openmp"; break;
     case Variant::kOpenCL: n += "opencl"; break;
     case Variant::kOpenCLOpt: n += "openclopt"; break;
+    case Variant::kHetero: n += "hetero"; break;
   }
   n += fp64 ? "_dp" : "_sp";
   // "3dstc" starts with a digit and "2dcon" too; prefix for valid names.

@@ -89,9 +89,9 @@ TEST_P(ExportFaultTest, ExportsStayFiniteUnderMeterDropouts) {
 // (every repetition fails, power means collapse to zero-sample windows).
 INSTANTIATE_TEST_SUITE_P(DropoutRates, ExportFaultTest,
                          ::testing::Values(0.5, 1.0),
-                         [](const ::testing::TestParamInfo<double>& info) {
-                           return info.param == 1.0 ? "dead_link"
-                                                    : "flaky_link";
+                         [](const ::testing::TestParamInfo<double>& case_info) {
+                           return case_info.param == 1.0 ? "dead_link"
+                                                         : "flaky_link";
                          });
 
 }  // namespace

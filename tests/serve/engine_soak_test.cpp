@@ -135,7 +135,10 @@ TEST(ServeEngineSoakTest, MidSoakShutdownDrainsCleanly) {
   const std::vector<JobSpec> jobs = GenerateLoad(300, 11);
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     if (i == 100) engine.BeginShutdown();  // SIGINT mid-soak
-    engine.Submit(jobs[i]);
+    const Status admitted = engine.Submit(jobs[i]);
+    if (i >= 100) {
+      EXPECT_EQ(admitted.code(), ErrorCode::kOverloaded) << admitted.ToString();
+    }
   }
   const ServeReport report = engine.Drain();
   EXPECT_TRUE(report.Consistent());

@@ -48,11 +48,11 @@ TEST(SchedulerTest, ChainEqualsEagerSumBitForBit) {
 }
 
 TEST(SchedulerTest, DiamondDependency) {
-  //      a(1)
-  //     /    \
-  //  b(2)    c(3)   (different lanes -> run concurrently)
-  //     \    /
-  //      d(1)
+  /*      a(1)
+         /    \
+      b(2)    c(3)   (different lanes -> run concurrently)
+         \    /
+          d(1)       */
   EventGraph g;
   const EventId a = Add(g, 1.0, kLaneCompute);
   const EventId b = Add(g, 2.0, kLaneCompute, {a});
