@@ -26,6 +26,13 @@ BenchOptions ParseOptions(int argc, char** argv) {
   BenchOptions options;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    const StatusOr<bool> fault_flag =
+        fault::ParseFaultFlag(arg, &options.fault);
+    if (!fault_flag.ok()) {
+      std::fprintf(stderr, "%s\n", fault_flag.status().ToString().c_str());
+      std::exit(2);
+    }
+    if (*fault_flag) continue;
     if (arg == "--fp32") {
       options.run_fp64 = false;
     } else if (arg == "--fp64") {
@@ -61,14 +68,6 @@ BenchOptions ParseOptions(int argc, char** argv) {
                      engine.c_str());
         std::exit(2);
       }
-    } else if (arg.rfind("--fault-seed=", 0) == 0) {
-      options.fault.seed = std::strtoull(arg.c_str() + 13, nullptr, 10);
-    } else if (arg.rfind("--fault-rate=", 0) == 0) {
-      options.fault.rate = std::strtod(arg.c_str() + 13, nullptr);
-    } else if (arg.rfind("--fault-spec=", 0) == 0) {
-      options.fault.spec = arg.substr(13);
-    } else if (arg.rfind("--watchdog=", 0) == 0) {
-      options.fault.watchdog_sec = std::strtod(arg.c_str() + 11, nullptr);
     } else if (arg == "--tune") {
       options.tune = true;
     } else if (arg.rfind("--tune=", 0) == 0) {

@@ -1,6 +1,6 @@
-#include "serve/breaker.h"
+#include "fault/breaker.h"
 
-namespace malisim::serve {
+namespace malisim::fault {
 
 std::string_view BreakerStateName(BreakerState s) {
   switch (s) {
@@ -63,7 +63,7 @@ void CircuitBreaker::RecordFailure() {
       ++trips_;
       break;
     case BreakerState::kOpen:
-      // A last-resort Serial attempt (or a straggler admitted before the
+      // A last-rung attempt (or a straggler admitted before the
       // trip) failing while open: nothing further to trip.
       break;
   }
@@ -79,4 +79,4 @@ std::uint64_t CircuitBreaker::trips() const {
   return trips_;
 }
 
-}  // namespace malisim::serve
+}  // namespace malisim::fault

@@ -1,5 +1,7 @@
 #include "fault/fault_plan.h"
 
+#include <charconv>
+#include <cmath>
 #include <cstddef>
 #include <cstdlib>
 
@@ -128,6 +130,32 @@ StatusOr<FaultPlan> FaultPlan::FromOptions(const FaultOptions& options) {
   plan.rates.fill(options.rate);
   MALI_RETURN_IF_ERROR(plan.ApplySpec(options.spec));
   return plan;
+}
+
+StatusOr<bool> ParseFaultFlag(std::string_view arg, FaultOptions* options) {
+  const std::size_t eq = arg.find('=');
+  if (eq == std::string_view::npos) return false;
+  const std::string_view flag = arg.substr(0, eq);
+  const std::string_view value = arg.substr(eq + 1);
+  if (flag == "--fault-spec") {
+    options->spec = std::string(value);
+    return true;
+  }
+  double* number = flag == "--fault-rate" ? &options->rate
+                   : flag == "--watchdog" ? &options->watchdog_sec
+                                          : nullptr;
+  if (number == nullptr && flag != "--fault-seed") return false;
+  const char* last = value.data() + value.size();
+  const std::from_chars_result parsed =
+      number != nullptr ? std::from_chars(value.data(), last, *number)
+                        : std::from_chars(value.data(), last, options->seed);
+  if (value.empty() || parsed.ec != std::errc() || parsed.ptr != last ||
+      (number != nullptr && !std::isfinite(*number))) {
+    return InvalidArgumentError(
+        std::string(flag) + " value '" + std::string(value) + "' is not " +
+        (number != nullptr ? "a number" : "an unsigned integer"));
+  }
+  return true;
 }
 
 }  // namespace malisim::fault

@@ -113,4 +113,11 @@ struct FaultPlan {
   static StatusOr<FaultPlan> FromOptions(const FaultOptions& options);
 };
 
+/// Parses `arg` into `options` when it is one of the four fault flags
+/// (--fault-seed=N, --fault-rate=R, --fault-spec=SPEC, --watchdog=SEC).
+/// Returns true when it consumed the flag and false for any other flag;
+/// InvalidArgument when a seed is not wholly an unsigned integer or a
+/// rate/watchdog not wholly a finite number. Ranges are FromOptions' job.
+StatusOr<bool> ParseFaultFlag(std::string_view arg, FaultOptions* options);
+
 }  // namespace malisim::fault

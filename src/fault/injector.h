@@ -33,7 +33,7 @@ namespace malisim::fault {
 /// One fault decision or resilience action, in program order.
 struct FaultEvent {
   std::string site;    // FaultSiteName() or a resilience stage ("retry",
-                       // "degrade", "watchdog", "ladder")
+                       // "degrade", "watchdog", "meter")
   std::string key;     // kernel/buffer/benchmark context
   std::string action;  // "injected", "retried", "fell-back", ...
   std::string detail;  // human-readable description

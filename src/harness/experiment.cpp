@@ -11,8 +11,8 @@
 #include "common/sim_options.h"
 #include "common/stats.h"
 #include "common/thread_pool.h"
+#include "fault/degrade.h"
 #include "fault/injector.h"
-#include "fault/retry.h"
 #include "harness/serve_exec.h"
 #include "obs/recorder.h"
 
@@ -139,53 +139,35 @@ StatusOr<BenchmarkResults> ExperimentRunner::RunBenchmarkImpl(
     const auto tuned_it = config_.tuned_configs.find(name);
     const sim::TuningConfig* tuned =
         tuned_it != config_.tuned_configs.end() ? &tuned_it->second : nullptr;
-    auto run_variant = [&](hpc::Variant variant) {
-      obs::HostProf::PhaseSpan variant_span(host_prof,
-                                            obs::HostPhase::kVariant);
-      fault::RetryStats rs;
-      StatusOr<hpc::RunOutcome> result = fault::RetryWithBackoff(
-          plan.retry,
-          [&] {
-            if (tuned != nullptr && variant == hpc::Variant::kOpenCLOpt) {
-              return bench->RunTuned(*tuned, devices);
-            }
-            return bench->RunVariant(variant, devices);
-          },
-          &rs);
-      if (rs.retries > 0) {
-        injector.RecordAction("retry", cell, "retried",
-                              std::to_string(rs.retries) +
-                                  " transient harness-level retr" +
-                                  (rs.retries == 1 ? "y" : "ies"));
-      }
-      return result;
-    };
-
-    StatusOr<hpc::RunOutcome> run = run_variant(v);
+    // The degradation ladder from v down, walked only under an active
+    // fault config so the paper's missing bars (e.g. amcd FP64) stay
+    // missing in golden runs.
+    std::span<const hpc::Variant> ladder = hpc::LadderFrom(v);
+    if (!config_.fault.ResilienceActive()) ladder = ladder.first(1);
+    std::vector<fault::Rung<hpc::RunOutcome>> rungs;
+    for (hpc::Variant rung : ladder) {
+      std::string label(hpc::VariantName(rung));
+      rungs.push_back({label, [&, rung, label](double) {
+                         obs::HostProf::PhaseSpan variant_span(
+                             host_prof, obs::HostPhase::kVariant);
+                         return fault::RetryAttempt<hpc::RunOutcome>(
+                             plan.retry, &injector, label, [&] {
+                               if (tuned != nullptr &&
+                                   rung == hpc::Variant::kOpenCLOpt) {
+                                 return bench->RunTuned(*tuned, devices);
+                               }
+                               return bench->RunVariant(rung, devices);
+                             });
+                       }});
+    }
+    fault::LadderResult<hpc::RunOutcome> walk =
+        fault::RunLadder<hpc::RunOutcome>(rungs, {}, &injector);
+    StatusOr<hpc::RunOutcome> run = std::move(walk.result);
     std::string degrade_note;
-    if (!run.ok() && config_.fault.ResilienceActive() &&
-        fault::IsDegradable(run.status())) {
-      // Harness rung of the degradation ladder: fall to progressively less
-      // ambitious variants, positionally from the ladder table (so the
-      // hetero rung degrades into the single-device ones). Gated on an
-      // active fault config so the paper's missing bars (e.g. amcd FP64)
-      // stay missing in golden runs.
-      for (hpc::Variant fv : hpc::FallbackVariants(v)) {
-        const std::string fv_name(hpc::VariantName(fv));
-        injector.RecordAction("ladder", cell, "fell-back",
-                              run.status().ToString() + " -> trying " +
-                                  fv_name);
-        StatusOr<hpc::RunOutcome> lower = run_variant(fv);
-        if (lower.ok()) {
-          out.degraded_to = fv_name;
-          degrade_note = "degraded to " + fv_name + " after " +
-                         run.status().ToString();
-          run = std::move(lower);
-          break;
-        }
-        run = std::move(lower);
-        if (!fault::IsDegradable(run.status())) break;
-      }
+    if (walk.winner > 0) {
+      out.degraded_to = rungs[static_cast<std::size_t>(walk.winner)].label;
+      degrade_note = "degraded to " + out.degraded_to + " after " +
+                     walk.steps[walk.steps.size() - 2].status.ToString();
     }
     if (!run.ok()) {
       // Unavailable results (the paper's missing bars): build failures and

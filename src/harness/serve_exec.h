@@ -113,14 +113,14 @@ struct JobExecResult {
   fault::RetryStats retry;
 };
 
-/// Runs exactly one variant of one job (no ladder — the serve engine owns
-/// degradation routing so its circuit breaker sees every per-rung
-/// outcome). Transient failures are retried inside, within the request's
-/// backoff budget. Error statuses pass through the fault taxonomy
-/// unchanged: degradable failures tell the engine to try a lower rung,
-/// fatal ones terminate the job. `out->retry` is filled even on failure
-/// (the engine accounts failed attempts' backoff against the deadline);
-/// the measurement fields are only meaningful on Ok.
+/// Runs exactly one variant of one job: one rung's attempt in the serve
+/// job's ladder walk (fault::RunLadder), so the engine's breakers see every
+/// per-rung outcome. Transient failures are retried inside, on this rung's
+/// fresh board, within the request's backoff budget. Error statuses pass
+/// through the fault taxonomy unchanged: degradable failures tell the walk
+/// to try a lower rung, fatal ones terminate the job. `out->retry` is
+/// filled even on failure (the walk accounts failed attempts' backoff
+/// against the deadline); the measurement fields are only meaningful on Ok.
 Status ExecuteJobVariant(const JobExecRequest& request, JobExecResult* out);
 
 }  // namespace malisim::harness

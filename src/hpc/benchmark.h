@@ -3,6 +3,7 @@
 // Mali model), with functional validation against host references.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -46,14 +47,17 @@ std::string_view VariantName(Variant v);
 
 /// Degradation-ladder order, most- to least-ambitious (DESIGN.md §8). The
 /// co-execution rung sits on top: losing a device degrades to the Mali-only
-/// optimized version, then down the paper ladder to Serial. Fallbacks are
-/// derived positionally (fault::RungsBelow), not per-enumerator.
+/// optimized version, then down the paper ladder to Serial.
 inline constexpr Variant kDegradationLadder[] = {
     Variant::kHetero, Variant::kOpenCLOpt, Variant::kOpenCL, Variant::kOpenMP,
     Variant::kSerial};
 
-/// Variants to try, in order, after `v` fails degradably.
-std::span<const Variant> FallbackVariants(Variant v);
+/// The ladder from `v` down to Serial, `v` included.
+inline std::span<const Variant> LadderFrom(Variant v) {
+  const std::span<const Variant> ladder(kDegradationLadder);
+  return ladder.subspan(std::find(ladder.begin(), ladder.end(), v) -
+                        ladder.begin());
+}
 
 /// Devices a benchmark runs against. The harness owns them; reusing one
 /// CPU/GPU pair across variants matches the single-board methodology.

@@ -1,6 +1,5 @@
 #include "hpc/benchmark.h"
 
-#include "fault/degrade.h"
 #include "hpc/kernels.h"
 
 namespace malisim::hpc {
@@ -19,10 +18,6 @@ std::string_view VariantName(Variant v) {
       return "Hetero";
   }
   return "<bad>";
-}
-
-std::span<const Variant> FallbackVariants(Variant v) {
-  return fault::RungsBelow(std::span<const Variant>(kDegradationLadder), v);
 }
 
 StatusOr<RunOutcome> Benchmark::Run(Variant variant, Devices& devices) {

@@ -119,32 +119,34 @@ StatusOr<RunOutcome> RunKernelLadder(Devices& devices,
 
   std::vector<fault::Rung<RunOutcome>> frungs;
   frungs.reserve(rungs.size());
-  for (const KernelRung& rung : rungs) frungs.push_back({rung.label, rung.run});
-
-  fault::LadderReport report;
-  StatusOr<RunOutcome> outcome = fault::RunLadder<RunOutcome>(
-      policy, frungs, &report, injector);
+  for (const KernelRung& rung : rungs) {
+    frungs.push_back({rung.label, [&policy, injector, &rung](double) {
+                        return fault::RetryAttempt<RunOutcome>(
+                            policy, injector, rung.label, rung.run);
+                      }});
+  }
+  fault::LadderResult<RunOutcome> walk =
+      fault::RunLadder<RunOutcome>(frungs, {}, injector);
+  StatusOr<RunOutcome> outcome = std::move(walk.result);
   if (!outcome.ok()) return outcome;
 
   // Legacy-format note per fallen rung, e.g. "CL_OUT_OF_RESOURCES for
   // vector-gather kernel; fell back to scalar rsqrt+unroll kernel".
   std::string note;
-  for (std::size_t i = 0; i < report.failures.size(); ++i) {
-    const std::string& next_label = i + 1 < report.failures.size()
-                                        ? report.failures[i + 1].first
-                                        : rungs[report.rung_index].label;
+  for (const fault::LadderStep& step : walk.steps) {
+    if (step.outcome == fault::StepOutcome::kOk) break;
     if (!note.empty()) note += "; ";
-    note += std::string(
-                ocl::ClErrorName(ocl::ClErrorFromStatus(report.failures[i].second))) +
-            " for " + report.failures[i].first + "; fell back to " + next_label;
+    note += std::string(ocl::ClErrorName(ocl::ClErrorFromStatus(step.status))) +
+            " for " + rungs[step.rung].label + "; fell back to " +
+            rungs[step.rung + 1].label;
   }
   if (!note.empty()) {
     outcome->note = outcome->note.empty() ? note : note + "; " + outcome->note;
   }
-  if (report.retry.retries > 0) {
+  if (walk.retry.retries > 0) {
     outcome->stats.Set("fault.retries",
-                       static_cast<double>(report.retry.retries));
-    outcome->stats.Set("fault.backoff_sec", report.retry.backoff_sec);
+                       static_cast<double>(walk.retry.retries));
+    outcome->stats.Set("fault.backoff_sec", walk.retry.backoff_sec);
   }
   return outcome;
 }

@@ -44,7 +44,6 @@
 #include "mali/compiler.h"
 #include "mali/t604_device.h"
 #include "mali/t604_params.h"
-#include "obs/counters.h"
 #include "obs/export.h"
 #include "obs/obs_options.h"
 #include "obs/power_sampler.h"

@@ -440,14 +440,6 @@ std::string MetricsJson(const Recorder& recorder,
   w.EndArray();
   w.EndObject();
 
-  w.Key("host_counters");
-  w.BeginObject();
-  for (const CounterRegistry::Entry& e : recorder.counters().Snapshot()) {
-    w.Key(e.name);
-    w.Number(e.value);
-  }
-  w.EndObject();
-
   w.Key("faults");
   w.BeginArray();
   for (const FaultRecord& f : snap.faults) {

@@ -1,4 +1,4 @@
-// Metrics aggregation on top of the Recorder/CounterRegistry: typed gauges,
+// Metrics aggregation on top of the Recorder: typed gauges,
 // monotonic counters and fixed-bucket log-scale histograms, summarized into
 // a deterministic snapshot that the bench-report layer serializes into
 // BENCH_*.json records.
@@ -12,8 +12,6 @@
 //    observed values (equal values are interchangeable), via Kahan
 //    accumulation, and
 //  * all emission iterates name-sorted maps.
-// Host wall-clock counters ("host.*" in the CounterRegistry) are excluded
-// from snapshots entirely — they are nondeterministic by nature.
 #pragma once
 
 #include <cstdint>

@@ -24,7 +24,6 @@
 #include "kir/exec_types.h"
 #include "kir/interp.h"
 #include "kir/opcode.h"
-#include "obs/counters.h"
 #include "obs/host_prof.h"
 #include "obs/obs_options.h"
 #include "power/profile.h"
@@ -221,9 +220,6 @@ class Recorder {
   /// be missing events; re-export after the stragglers arrive.
   std::uint64_t late_records() const;
 
-  CounterRegistry& counters() { return counters_; }
-  const CounterRegistry& counters() const { return counters_; }
-
   /// Host-side self-profiler, or null when ObsOptions::host_prof is off.
   /// Instrumentation sites pass the pointer straight into null-safe
   /// HostProf::PhaseSpan / InterpProfile, so "off" costs one null check.
@@ -235,7 +231,6 @@ class Recorder {
   void NoteRecordLocked();
 
   ObsOptions options_;
-  CounterRegistry counters_;
   std::unique_ptr<HostProf> host_prof_;
   mutable std::mutex mutex_;
   bool sealed_ = false;

@@ -8,7 +8,7 @@
 #include "common/json.h"
 #include "common/log.h"
 #include "common/table.h"
-#include "fault/retry.h"
+#include "fault/degrade.h"
 #include "harness/serve_exec.h"
 #include "harness/tuning.h"
 #include "obs/telemetry.h"
@@ -29,31 +29,6 @@ std::uint64_t JobFaultSeed(std::uint64_t base_seed, std::uint64_t job_id,
              .Byte(static_cast<std::uint8_t>(rung))
              .digest() ^
          base_seed ^ 0x5e27eULL;
-}
-
-/// The ladder from `requested` down (inclusive).
-std::span<const hpc::Variant> LadderFrom(hpc::Variant requested) {
-  const std::span<const hpc::Variant> ladder(hpc::kDegradationLadder);
-  for (std::size_t i = 0; i < ladder.size(); ++i) {
-    if (ladder[i] == requested) return ladder.subspan(i);
-  }
-  return ladder.last(1);  // unreachable: every variant is a rung
-}
-
-/// Appends one rung decision to the job's exemplar span list (no-op when
-/// telemetry is off and `spans` is null).
-void AddSpan(std::vector<obs::JobRungSpan>* spans, hpc::Variant rung,
-             double start_sec, double end_sec, const char* outcome,
-             int retries = 0, double backoff_sec = 0.0) {
-  if (spans == nullptr) return;
-  obs::JobRungSpan span;
-  span.rung = std::string(VariantKey(rung));
-  span.start_sec = start_sec;
-  span.end_sec = end_sec;
-  span.outcome = outcome;
-  span.retries = retries;
-  span.backoff_sec = backoff_sec;
-  spans->push_back(std::move(span));
 }
 
 }  // namespace
@@ -94,7 +69,8 @@ ServeEngine::ServeEngine(const ServeOptions& options)
       for (hpc::Variant v : hpc::kDegradationLadder) {
         rows.emplace_back(
             std::string(VariantKey(v)),
-            std::string(BreakerStateName(breakers_.ForVariant(v).state())));
+            std::string(
+                fault::BreakerStateName(breakers_.ForVariant(v).state())));
       }
       return rows;
     });
@@ -218,45 +194,10 @@ const sim::TuningConfig* ServeEngine::TunedConfigFor(const JobSpec& job) {
 
 JobResult ServeEngine::RunJob(const JobSpec& job,
                               std::vector<obs::JobRungSpan>* spans) {
-  JobResult r;
-  r.id = job.id;
-  r.tenant = job.tenant;
-  r.requested = job.variant;
-  r.ran = job.variant;
-
-  const double budget = job.deadline_sec > 0.0 ? job.deadline_sec
-                                               : options_.default_deadline_sec;
-  double consumed = 0.0;
-  Status last_error =
-      InternalError("ladder exhausted without an attempt");  // overwritten
-  bool terminal_deadline = false;
-
-  for (hpc::Variant rung : LadderFrom(job.variant)) {
-    const bool last_resort = rung == hpc::Variant::kSerial;
-    CircuitBreaker& breaker = breakers_.ForVariant(rung);
-    const bool allowed = breaker.Allow();
-    if (!allowed && !last_resort) {
-      // Open breaker: route past this rung without paying for the failure.
-      r.breaker_rerouted = true;
-      AddSpan(spans, rung, consumed, consumed, "breaker-skipped");
-      continue;
-    }
-    if (!allowed) r.breaker_rerouted = true;  // forced Serial attempt
-
-    double remaining = 0.0;
-    if (budget > 0.0) {
-      remaining = budget - consumed;
-      if (remaining <= 0.0) {
-        terminal_deadline = true;
-        last_error = DeadlineExceededError(
-            "job budget (" + std::to_string(budget) +
-            " modelled sec) exhausted before rung " +
-            std::string(hpc::VariantName(rung)));
-        AddSpan(spans, rung, consumed, consumed, "budget-exhausted");
-        break;
-      }
-    }
-
+  using Attempt = fault::RungAttempt<harness::JobExecResult>;
+  // One rung attempt: a fresh board with the job's fault seed for this
+  // rung, the remaining budget as its watchdog and retry cap.
+  auto attempt = [this, &job](hpc::Variant rung, double remaining) {
     harness::JobExecRequest request;
     request.benchmark = job.benchmark;
     request.sizes = job.sizes;
@@ -267,7 +208,7 @@ JobResult ServeEngine::RunJob(const JobSpec& job,
     request.hetero_ratio = job.hetero_ratio;
     request.fault = options_.fault;
     request.fault.seed = JobFaultSeed(options_.fault.seed, job.id, rung);
-    if (budget > 0.0) {
+    if (remaining > 0.0) {
       request.fault.watchdog_sec =
           options_.fault.watchdog_sec > 0.0
               ? std::min(options_.fault.watchdog_sec, remaining)
@@ -280,68 +221,60 @@ JobResult ServeEngine::RunJob(const JobSpec& job,
     request.compile_cache = options_.compile_cache ? &compile_cache_ : nullptr;
 
     harness::JobExecResult exec;
-    const double rung_start = consumed;
     const Status status = harness::ExecuteJobVariant(request, &exec);
-    ++r.attempts;
-    r.retries += exec.retry.retries;
-    r.backoff_sec += exec.retry.backoff_sec;
-    consumed += exec.retry.backoff_sec;
-
-    if (status.ok()) {
-      consumed += exec.seconds;
-      breaker.RecordSuccess();
-      if (budget > 0.0 && consumed > budget) {
-        // It ran, but past the promise. A deadline violation is reported
-        // as one, not silently excused by eventual success.
-        terminal_deadline = true;
-        last_error = DeadlineExceededError(
-            "completed on rung " + std::string(hpc::VariantName(rung)) +
-            " but spent " + std::to_string(consumed) + " of " +
-            std::to_string(budget) + " modelled sec");
-        AddSpan(spans, rung, rung_start, consumed, "ok-past-deadline",
-                exec.retry.retries, exec.retry.backoff_sec);
-        break;
-      }
-      AddSpan(spans, rung, rung_start, consumed, "ok", exec.retry.retries,
-              exec.retry.backoff_sec);
-      r.state = rung == job.variant ? JobState::kOk : JobState::kDegraded;
-      r.ran = rung;
-      r.seconds = exec.seconds;
-      r.energy_j = exec.energy_j;
-      r.note = exec.note;
-      r.consumed_sec = consumed;
-      return r;
-    }
-
-    last_error = status;
-    if (status.code() == ErrorCode::kDeadlineExceeded) {
-      // The rung's watchdog fired: its whole allotment is spent.
-      consumed += request.fault.watchdog_sec;
-      breaker.RecordFailure();
-      AddSpan(spans, rung, rung_start, consumed, "watchdog",
-              exec.retry.retries, exec.retry.backoff_sec);
-      continue;
-    }
-    if (!fault::IsDegradable(status)) {
-      // Fatal taxonomy: no rung below computes a different answer.
-      AddSpan(spans, rung, rung_start, consumed, "fatal", exec.retry.retries,
-              exec.retry.backoff_sec);
-      r.state = JobState::kFailed;
-      r.error = status.ToString();
-      r.consumed_sec = consumed;
-      return r;
-    }
-    breaker.RecordFailure();
-    AddSpan(spans, rung, rung_start, consumed, "degradable-fault",
-            exec.retry.retries, exec.retry.backoff_sec);
+    if (status.ok()) return Attempt{exec, exec.retry, exec.seconds};
+    // A fired watchdog spends the rung's whole allotment.
+    return Attempt{status, exec.retry,
+                   status.code() == ErrorCode::kDeadlineExceeded
+                       ? request.fault.watchdog_sec
+                       : 0.0};
+  };
+  const std::span<const hpc::Variant> ladder = hpc::LadderFrom(job.variant);
+  std::vector<fault::Rung<harness::JobExecResult>> rungs;
+  std::vector<fault::CircuitBreaker*> breakers;
+  for (hpc::Variant rung : ladder) {
+    rungs.push_back({std::string(hpc::VariantName(rung)),
+                     [&attempt, rung](double remaining) {
+                       return attempt(rung, remaining);
+                     }});
+    breakers.push_back(&breakers_.ForVariant(rung));
   }
+  fault::LadderPolicy policy;
+  policy.breakers = breakers;
+  policy.budget_sec = job.deadline_sec > 0.0 ? job.deadline_sec
+                                             : options_.default_deadline_sec;
+  fault::LadderResult<harness::JobExecResult> walk =
+      fault::RunLadder<harness::JobExecResult>(rungs, policy);
 
-  r.state =
-      terminal_deadline || last_error.code() == ErrorCode::kDeadlineExceeded
-          ? JobState::kDeadlineExceeded
-          : JobState::kFailed;
-  r.error = last_error.ToString();
-  r.consumed_sec = consumed;
+  JobResult r;
+  r.id = job.id;
+  r.tenant = job.tenant;
+  r.requested = job.variant;
+  r.ran = job.variant;
+  r.retries = walk.retry.retries;
+  r.backoff_sec = walk.retry.backoff_sec;
+  r.consumed_sec = walk.steps.back().end_sec;
+  for (const fault::LadderStep& step : walk.steps) {
+    if (step.attempted()) ++r.attempts;
+    if (step.breaker_open) r.breaker_rerouted = true;
+    if (spans == nullptr) continue;
+    spans->push_back({std::string(VariantKey(ladder[step.rung])),
+                      step.start_sec, step.end_sec,
+                      std::string(fault::StepOutcomeName(step.outcome)),
+                      step.retry.retries, step.retry.backoff_sec});
+  }
+  if (walk.result.ok()) {
+    r.ran = ladder[static_cast<std::size_t>(walk.winner)];
+    r.state = r.ran == job.variant ? JobState::kOk : JobState::kDegraded;
+    r.seconds = walk.result->seconds;
+    r.energy_j = walk.result->energy_j;
+    r.note = walk.result->note;
+    return r;
+  }
+  r.state = walk.result.status().code() == ErrorCode::kDeadlineExceeded
+                ? JobState::kDeadlineExceeded
+                : JobState::kFailed;
+  r.error = walk.result.status().ToString();
   return r;
 }
 
@@ -414,7 +347,7 @@ ServeReport ServeEngine::Drain() {
     ++report.state_counts[static_cast<std::size_t>(r.state)];
   }
   for (hpc::Variant v : hpc::kDegradationLadder) {
-    const CircuitBreaker& b = breakers_.ForVariant(v);
+    const fault::CircuitBreaker& b = breakers_.ForVariant(v);
     report.breakers.push_back({v, b.state(), b.trips()});
   }
   report.host_elapsed_sec = host_elapsed;
@@ -509,7 +442,7 @@ std::string ServeReport::ToText() const {
   out += "breakers:\n";
   for (const BreakerRow& row : breakers) {
     out += "  " + std::string(hpc::VariantName(row.rung)) + ": " +
-           std::string(BreakerStateName(row.state)) + " (" +
+           std::string(fault::BreakerStateName(row.state)) + " (" +
            std::to_string(row.trips) + " trip(s))\n";
   }
   out += "host: " + FormatDouble(host_elapsed_sec, 2) + " s, " +
@@ -561,7 +494,7 @@ std::string ServeReport::ToJson(bool include_results) const {
     w.Key("rung");
     w.String(std::string(VariantKey(row.rung)));
     w.Key("state");
-    w.String(std::string(BreakerStateName(row.state)));
+    w.String(std::string(fault::BreakerStateName(row.state)));
     w.Key("trips");
     w.Number(row.trips);
     w.EndObject();

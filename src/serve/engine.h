@@ -4,9 +4,10 @@
 // Shape: submissions hash by job id onto one of `shards` bounded
 // admission queues, each drained by its own pool of worker threads.
 // Submission never blocks — a full shard sheds the newest arrival with a
-// typed Overloaded status (see admission_queue.h). Each accepted job runs
-// through harness::ExecuteJobVariant down the degradation ladder, guarded
-// by per-rung circuit breakers and a per-job modelled-seconds deadline.
+// typed Overloaded status (see admission_queue.h). Each accepted job walks
+// the degradation ladder (fault::RunLadder) with harness::ExecuteJobVariant
+// as each rung's attempt, the per-rung circuit breakers and the job's
+// modelled-seconds deadline as the walk's policy.
 // Every submission — accepted or shed — ends as exactly one JobResult;
 // ServeReport::Consistent() checks that invariant (zero lost jobs).
 //
@@ -17,6 +18,13 @@
 // storm can make a job look hung. A success whose cumulative spend
 // overruns the budget still reports kDeadlineExceeded — a deadline is a
 // promise to the caller, not a suggestion.
+//
+// Determinism: a job's fault schedule depends only on (base seed, job
+// id, rung), but the breakers are shared. With more than one worker the
+// rung a job runs on can depend on breaker state other jobs shaped, in
+// whatever order the workers finished them, so a whole report is
+// reproducible run to run only with one worker or while no breaker trips
+// (CI's determinism steps pass --breaker-threshold=1000000).
 //
 // Shared caches: all jobs share one mali::CompileCache (pure compile
 // results; fault schedules are cache-warmth-independent by construction)
@@ -42,11 +50,11 @@
 
 #include "common/sim_options.h"
 #include "common/status.h"
+#include "fault/breaker.h"
 #include "mali/compiler_cache.h"
 #include "obs/metrics.h"
 #include "power/power_model.h"
 #include "serve/admission_queue.h"
-#include "serve/breaker.h"
 #include "serve/job.h"
 #include "sim/tuner.h"
 
@@ -72,7 +80,7 @@ struct ServeOptions {
   /// the job's remaining budget.
   FaultOptions fault;
   power::PowerParams power;
-  BreakerConfig breaker;
+  fault::BreakerConfig breaker;
   /// Tune the kOpenCLOpt rung per (benchmark, precision, device), memoized
   /// process-wide and persisted through `tune_cache` when set.
   bool autotune = false;
@@ -97,7 +105,7 @@ struct ServeReport {
   /// Final breaker states and trip counts per ladder rung.
   struct BreakerRow {
     hpc::Variant rung;
-    BreakerState state;
+    fault::BreakerState state;
     std::uint64_t trips;
   };
   std::vector<BreakerRow> breakers;
@@ -120,6 +128,20 @@ struct ServeReport {
   /// "malisim-serve-v1" JSON document (per-job results included when
   /// `include_results`).
   std::string ToJson(bool include_results = true) const;
+};
+
+/// The ladder's circuit breakers, one per rung, indexed by hpc::Variant.
+class BreakerBoard {
+ public:
+  explicit BreakerBoard(const fault::BreakerConfig& config) {
+    for (auto& b : breakers_) b.set_config(config);
+  }
+  fault::CircuitBreaker& ForVariant(hpc::Variant v) {
+    return breakers_[static_cast<std::size_t>(v)];
+  }
+
+ private:
+  std::array<fault::CircuitBreaker, 5> breakers_;
 };
 
 class ServeEngine {

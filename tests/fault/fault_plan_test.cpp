@@ -103,6 +103,51 @@ TEST(FaultPlanTest, FromOptionsValidates) {
             ErrorCode::kInvalidArgument);
 }
 
+TEST(ParseFaultFlagTest, ParsesTheFourFaultFlags) {
+  FaultOptions options;
+  EXPECT_TRUE(*ParseFaultFlag("--fault-seed=7", &options));
+  EXPECT_TRUE(*ParseFaultFlag("--fault-rate=0.05", &options));
+  EXPECT_TRUE(*ParseFaultFlag("--fault-spec=build=0.1,map=0.05", &options));
+  EXPECT_TRUE(*ParseFaultFlag("--watchdog=5e-4", &options));
+  EXPECT_EQ(options.seed, 7u);
+  EXPECT_EQ(options.rate, 0.05);
+  EXPECT_EQ(options.spec, "build=0.1,map=0.05");
+  EXPECT_EQ(options.watchdog_sec, 5e-4);
+}
+
+TEST(ParseFaultFlagTest, LeavesOtherFlagsAlone) {
+  FaultOptions options;
+  for (const char* arg : {"--seed=3", "--quick", "--fault-rates=1",
+                          "--watchdog", "fault-rate=0.5"}) {
+    const StatusOr<bool> parsed = ParseFaultFlag(arg, &options);
+    ASSERT_TRUE(parsed.ok()) << arg;
+    EXPECT_FALSE(*parsed) << arg;
+  }
+  EXPECT_EQ(options.rate, 0.0);
+  EXPECT_EQ(options.seed, 0u);
+}
+
+TEST(ParseFaultFlagTest, RejectsValuesThatAreNotWhollyNumbers) {
+  for (const char* arg :
+       {"--fault-rate=abc", "--fault-rate=", "--fault-rate=0.1x",
+        "--fault-rate=nan", "--watchdog=1s", "--watchdog=inf",
+        "--watchdog= 1", "--fault-seed=-1", "--fault-seed=7.5",
+        "--fault-seed=", "--fault-seed=99999999999999999999999"}) {
+    FaultOptions options;
+    const StatusOr<bool> parsed = ParseFaultFlag(arg, &options);
+    EXPECT_EQ(parsed.status().code(), ErrorCode::kInvalidArgument) << arg;
+  }
+}
+
+TEST(ParseFaultFlagTest, ErrorNamesTheFlagAndValue) {
+  FaultOptions options;
+  const StatusOr<bool> parsed = ParseFaultFlag("--watchdog=1s", &options);
+  ASSERT_FALSE(parsed.ok());
+  const std::string message = parsed.status().ToString();
+  EXPECT_NE(message.find("--watchdog"), std::string::npos) << message;
+  EXPECT_NE(message.find("'1s'"), std::string::npos) << message;
+}
+
 TEST(FaultOptionsTest, ActivityPredicates) {
   FaultOptions options;
   EXPECT_FALSE(options.InjectionActive());

@@ -2,6 +2,7 @@
 #include <string>
 #include <vector>
 
+#include "fault/breaker.h"
 #include "fault/degrade.h"
 #include "fault/retry.h"
 #include "gtest/gtest.h"
@@ -160,33 +161,46 @@ TEST(RetryTest, WorksWithStatusOr) {
   EXPECT_EQ(calls, 2);
 }
 
+/// Fake rung i returns outcomes[i] (its index on success), charging
+/// spent[i] modelled seconds when given, and counts its calls.
 std::vector<Rung<int>> MakeRungs(std::vector<Status> outcomes,
-                                 std::vector<int>* calls) {
+                                 std::vector<int>* calls,
+                                 std::vector<double> spent = {}) {
   std::vector<Rung<int>> rungs;
   calls->assign(outcomes.size(), 0);  // size up front: rungs keep pointers in
+  spent.resize(outcomes.size(), 0.0);
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     Status status = outcomes[i];
     int* counter = &(*calls)[i];
+    const double seconds = spent[i];
     rungs.push_back({"rung-" + std::to_string(i),
-                     [status, counter, i]() -> StatusOr<int> {
+                     [status, counter, i, seconds](double) -> RungAttempt<int> {
                        ++*counter;
-                       if (!status.ok()) return status;
-                       return static_cast<int>(i);
+                       if (!status.ok()) return {status, {}, seconds};
+                       return {static_cast<int>(i), {}, seconds};
                      }});
   }
   return rungs;
 }
 
+/// The steps of the rungs that failed before the walk ended.
+std::vector<LadderStep> Failures(const LadderResult<int>& report) {
+  std::vector<LadderStep> failures;
+  for (const LadderStep& step : report.steps) {
+    if (!step.status.ok()) failures.push_back(step);
+  }
+  return failures;
+}
+
 TEST(LadderTest, FirstRungWins) {
   std::vector<int> calls;
   std::vector<Rung<int>> rungs = MakeRungs({Status::Ok(), Status::Ok()}, &calls);
-  LadderReport report;
-  RetryPolicy policy;
-  StatusOr<int> result = RunLadder<int>(policy, rungs, &report);
+  LadderResult<int> report = RunLadder<int>(rungs);
+  const StatusOr<int>& result = report.result;
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(*result, 0);
-  EXPECT_EQ(report.rung_index, 0);
-  EXPECT_TRUE(report.failures.empty());
+  EXPECT_EQ(report.winner, 0);
+  EXPECT_TRUE(Failures(report).empty());
   EXPECT_EQ(calls[0], 1);
   EXPECT_EQ(calls[1], 0);
 }
@@ -196,24 +210,23 @@ TEST(LadderTest, DegradableFailuresFallThrough) {
   std::vector<Rung<int>> rungs = MakeRungs(
       {ResourceExhaustedError("regs"), BuildFailureError("ice"), Status::Ok()},
       &calls);
-  LadderReport report;
-  RetryPolicy policy;
-  StatusOr<int> result = RunLadder<int>(policy, rungs, &report);
+  LadderResult<int> report = RunLadder<int>(rungs);
+  const StatusOr<int>& result = report.result;
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(*result, 2);
-  EXPECT_EQ(report.rung_index, 2);
-  ASSERT_EQ(report.failures.size(), 2u);
-  EXPECT_EQ(report.failures[0].first, "rung-0");
-  EXPECT_EQ(report.failures[0].second.code(), ErrorCode::kResourceExhausted);
-  EXPECT_EQ(report.failures[1].second.code(), ErrorCode::kBuildFailure);
+  EXPECT_EQ(report.winner, 2);
+  const std::vector<LadderStep> failures = Failures(report);
+  ASSERT_EQ(failures.size(), 2u);
+  EXPECT_EQ(rungs[failures[0].rung].label, "rung-0");
+  EXPECT_EQ(failures[0].status.code(), ErrorCode::kResourceExhausted);
+  EXPECT_EQ(failures[1].status.code(), ErrorCode::kBuildFailure);
 }
 
 TEST(LadderTest, FatalErrorAbortsImmediately) {
   std::vector<int> calls;
   std::vector<Rung<int>> rungs =
       MakeRungs({InvalidArgumentError("bug"), Status::Ok()}, &calls);
-  RetryPolicy policy;
-  StatusOr<int> result = RunLadder<int>(policy, rungs);
+  StatusOr<int> result = RunLadder<int>(rungs).result;
   EXPECT_EQ(result.status().code(), ErrorCode::kInvalidArgument);
   EXPECT_EQ(calls[1], 0) << "fatal errors must not degrade";
 }
@@ -222,12 +235,10 @@ TEST(LadderTest, AllRungsFailReturnsLastStatus) {
   std::vector<int> calls;
   std::vector<Rung<int>> rungs = MakeRungs(
       {ResourceExhaustedError("a"), BuildFailureError("b")}, &calls);
-  LadderReport report;
-  RetryPolicy policy;
-  StatusOr<int> result = RunLadder<int>(policy, rungs, &report);
-  EXPECT_EQ(result.status().code(), ErrorCode::kBuildFailure);
-  EXPECT_EQ(report.rung_index, -1);
-  EXPECT_EQ(report.failures.size(), 2u);
+  LadderResult<int> report = RunLadder<int>(rungs);
+  EXPECT_EQ(report.result.status().code(), ErrorCode::kBuildFailure);
+  EXPECT_EQ(report.winner, -1);
+  EXPECT_EQ(Failures(report).size(), 2u);
 }
 
 TEST(LadderTest, TransientsAreRetriedWithinARung) {
@@ -235,16 +246,19 @@ TEST(LadderTest, TransientsAreRetriedWithinARung) {
   policy.max_attempts = 3;
   int calls = 0;
   std::vector<Rung<int>> rungs;
-  rungs.push_back({"flaky", [&calls]() -> StatusOr<int> {
-                     ++calls;
-                     if (calls < 3) return UnavailableError("hiccup");
-                     return 7;
+  rungs.push_back({"flaky", [&calls, &policy](double) {
+                     return RetryAttempt<int>(
+                         policy, nullptr, "flaky", [&calls]() -> StatusOr<int> {
+                           ++calls;
+                           if (calls < 3) return UnavailableError("hiccup");
+                           return 7;
+                         });
                    }});
-  LadderReport report;
-  StatusOr<int> result = RunLadder<int>(policy, rungs, &report);
+  LadderResult<int> report = RunLadder<int>(rungs);
+  const StatusOr<int>& result = report.result;
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(*result, 7);
-  EXPECT_EQ(report.rung_index, 0);
+  EXPECT_EQ(report.winner, 0);
   EXPECT_EQ(report.retry.retries, 2);
   EXPECT_GT(report.retry.backoff_sec, 0.0);
 }
@@ -255,12 +269,174 @@ TEST(LadderTest, RecordsActionsOnInjector) {
   std::vector<int> calls;
   std::vector<Rung<int>> rungs =
       MakeRungs({ResourceExhaustedError("regs"), Status::Ok()}, &calls);
-  RetryPolicy policy;
-  StatusOr<int> result = RunLadder<int>(policy, rungs, nullptr, &injector);
+  StatusOr<int> result = RunLadder<int>(rungs, {}, &injector).result;
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(injector.events().size(), 1u);
   EXPECT_EQ(injector.events()[0].site, "degrade");
   EXPECT_EQ(injector.events()[0].action, "fell-back");
+}
+
+TEST(LadderTest, RetryAttemptRecordsOneRetryEventPerRung) {
+  FaultPlan plan;
+  FaultInjector injector(plan);
+  RetryPolicy policy;
+  policy.max_attempts = 3;
+  int calls = 0;
+  RungAttempt<int> attempt = RetryAttempt<int>(
+      policy, &injector, "flaky", [&calls]() -> StatusOr<int> {
+        return ++calls < 3 ? StatusOr<int>(UnavailableError("hiccup"))
+                           : StatusOr<int>(7);
+      });
+  ASSERT_TRUE(attempt.result.ok());
+  EXPECT_EQ(attempt.retry.retries, 2);
+  ASSERT_EQ(injector.events().size(), 1u);
+  EXPECT_EQ(injector.events()[0].site, "retry");
+  EXPECT_EQ(injector.events()[0].key, "flaky");
+  EXPECT_EQ(injector.events()[0].detail, "2 transient retries");
+}
+
+// ---- Optional policy: per-rung breakers and a modelled-seconds budget ----
+
+/// A breaker that is open and still cooling down: its next Allow() refuses.
+CircuitBreaker& Trip(CircuitBreaker& breaker) {
+  breaker.set_config({/*failure_threshold=*/1, /*open_cooldown=*/8});
+  EXPECT_TRUE(breaker.Allow());
+  breaker.RecordFailure();
+  EXPECT_EQ(breaker.state(), BreakerState::kOpen);
+  return breaker;
+}
+
+TEST(LadderPolicyTest, OpenBreakerSkipsItsRungWithoutAnAttempt) {
+  std::vector<int> calls;
+  std::vector<Rung<int>> rungs =
+      MakeRungs({Status::Ok(), Status::Ok(), Status::Ok()}, &calls);
+  CircuitBreaker open;
+  Trip(open);
+  CircuitBreaker* breakers[] = {&open, nullptr, nullptr};
+  LadderPolicy policy;
+  policy.breakers = breakers;
+  LadderResult<int> walk = RunLadder<int>(rungs, policy);
+  ASSERT_TRUE(walk.result.ok());
+  EXPECT_EQ(*walk.result, 1);
+  EXPECT_EQ(walk.winner, 1);
+  EXPECT_EQ(calls[0], 0) << "an open breaker must not pay for the attempt";
+  ASSERT_EQ(walk.steps.size(), 2u);
+  EXPECT_EQ(walk.steps[0].outcome, StepOutcome::kBreakerSkipped);
+  EXPECT_TRUE(walk.steps[0].breaker_open);
+  EXPECT_FALSE(walk.steps[0].attempted());
+  EXPECT_EQ(walk.steps[1].outcome, StepOutcome::kOk);
+  EXPECT_FALSE(walk.steps[1].breaker_open);
+}
+
+TEST(LadderPolicyTest, LastRungRunsWhileItsBreakerIsOpen) {
+  std::vector<int> calls;
+  std::vector<Rung<int>> rungs =
+      MakeRungs({BuildFailureError("ice"), Status::Ok()}, &calls);
+  CircuitBreaker open;
+  Trip(open);
+  CircuitBreaker* breakers[] = {nullptr, &open};
+  LadderPolicy policy;
+  policy.breakers = breakers;
+  LadderResult<int> walk = RunLadder<int>(rungs, policy);
+  ASSERT_TRUE(walk.result.ok());
+  EXPECT_EQ(walk.winner, 1);
+  EXPECT_EQ(calls[1], 1) << "the last rung is attempted regardless";
+  ASSERT_EQ(walk.steps.size(), 2u);
+  EXPECT_EQ(walk.steps[1].outcome, StepOutcome::kOk);
+  EXPECT_TRUE(walk.steps[1].breaker_open);
+  EXPECT_EQ(open.state(), BreakerState::kClosed) << "success closes it";
+}
+
+TEST(LadderPolicyTest, BudgetSpentBeforeARungStopsTheWalk) {
+  std::vector<int> calls;
+  // Rungs 0 and 1 each spend 0.6 s of a 1.0 s budget; rung 2 never runs.
+  std::vector<Rung<int>> rungs = MakeRungs(
+      {DeadlineExceededError("watchdog"), DeadlineExceededError("watchdog"),
+       Status::Ok()},
+      &calls, {0.6, 0.6, 0.0});
+  LadderPolicy policy;
+  policy.budget_sec = 1.0;
+  std::vector<double> remaining;
+  for (Rung<int>& rung : rungs) {
+    rung.attempt = [&remaining, inner = rung.attempt](double left) {
+      remaining.push_back(left);
+      return inner(left);
+    };
+  }
+  LadderResult<int> walk = RunLadder<int>(rungs, policy);
+  EXPECT_EQ(walk.result.status().code(), ErrorCode::kDeadlineExceeded);
+  EXPECT_EQ(walk.winner, -1);
+  EXPECT_EQ(calls[2], 0) << "no attempt after the budget is spent";
+  ASSERT_EQ(remaining.size(), 2u);
+  EXPECT_DOUBLE_EQ(remaining[0], 1.0);
+  EXPECT_DOUBLE_EQ(remaining[1], 0.4);
+  int exhausted = 0;
+  for (const LadderStep& step : walk.steps) {
+    if (step.outcome == StepOutcome::kBudgetExhausted) ++exhausted;
+  }
+  EXPECT_EQ(exhausted, 1);
+  ASSERT_EQ(walk.steps.size(), 3u);
+  EXPECT_EQ(walk.steps.back().outcome, StepOutcome::kBudgetExhausted);
+  EXPECT_EQ(walk.steps.back().rung, 2u);
+  EXPECT_DOUBLE_EQ(walk.steps.back().end_sec, 1.2);
+}
+
+TEST(LadderPolicyTest, SuccessPastTheBudgetIsDeadlineExceeded) {
+  std::vector<int> calls;
+  std::vector<Rung<int>> rungs =
+      MakeRungs({Status::Ok(), Status::Ok()}, &calls, {2.0, 0.0});
+  CircuitBreaker breaker({/*failure_threshold=*/2, /*open_cooldown=*/8});
+  ASSERT_TRUE(breaker.Allow());
+  breaker.RecordFailure();  // one failure short of tripping
+  CircuitBreaker* breakers[] = {&breaker, nullptr};
+  LadderPolicy policy;
+  policy.breakers = breakers;
+  policy.budget_sec = 1.0;
+  LadderResult<int> walk = RunLadder<int>(rungs, policy);
+  EXPECT_EQ(walk.result.status().code(), ErrorCode::kDeadlineExceeded);
+  EXPECT_EQ(walk.winner, -1);
+  EXPECT_EQ(calls[1], 0) << "past the deadline is terminal, not a fall";
+  ASSERT_EQ(walk.steps.size(), 1u);
+  EXPECT_EQ(walk.steps[0].outcome, StepOutcome::kOkPastDeadline);
+  EXPECT_DOUBLE_EQ(walk.steps[0].end_sec, 2.0);
+  // The rung did succeed: the breaker's failure streak is reset, so one
+  // more failure does not trip it.
+  ASSERT_TRUE(breaker.Allow());
+  breaker.RecordFailure();
+  EXPECT_EQ(breaker.state(), BreakerState::kClosed);
+}
+
+TEST(LadderPolicyTest, WatchdogChargesItsSecondsAndFallsThrough) {
+  std::vector<int> calls;
+  std::vector<Rung<int>> rungs =
+      MakeRungs({DeadlineExceededError("watchdog"), Status::Ok()}, &calls,
+                {0.25, 0.5});
+  CircuitBreaker breaker({/*failure_threshold=*/1, /*open_cooldown=*/8});
+  CircuitBreaker* breakers[] = {&breaker, nullptr};
+  LadderPolicy policy;
+  policy.breakers = breakers;
+  policy.budget_sec = 1.0;
+  LadderResult<int> walk = RunLadder<int>(rungs, policy);
+  ASSERT_TRUE(walk.result.ok());
+  EXPECT_EQ(walk.winner, 1);
+  ASSERT_EQ(walk.steps.size(), 2u);
+  EXPECT_EQ(walk.steps[0].outcome, StepOutcome::kWatchdog);
+  EXPECT_DOUBLE_EQ(walk.steps[0].start_sec, 0.0);
+  EXPECT_DOUBLE_EQ(walk.steps[0].end_sec, 0.25);
+  EXPECT_DOUBLE_EQ(walk.steps[1].start_sec, 0.25);
+  EXPECT_DOUBLE_EQ(walk.steps[1].end_sec, 0.75);
+  EXPECT_DOUBLE_EQ(walk.steps.back().end_sec, 0.75);
+  EXPECT_EQ(breaker.state(), BreakerState::kOpen) << "a watchdog is a failure";
+}
+
+TEST(LadderPolicyTest, StepOutcomeNamesMatchTheSpanVocabulary) {
+  EXPECT_EQ(StepOutcomeName(StepOutcome::kOk), "ok");
+  EXPECT_EQ(StepOutcomeName(StepOutcome::kOkPastDeadline), "ok-past-deadline");
+  EXPECT_EQ(StepOutcomeName(StepOutcome::kWatchdog), "watchdog");
+  EXPECT_EQ(StepOutcomeName(StepOutcome::kDegradableFault), "degradable-fault");
+  EXPECT_EQ(StepOutcomeName(StepOutcome::kFatal), "fatal");
+  EXPECT_EQ(StepOutcomeName(StepOutcome::kBreakerSkipped), "breaker-skipped");
+  EXPECT_EQ(StepOutcomeName(StepOutcome::kBudgetExhausted), "budget-exhausted");
 }
 
 }  // namespace

@@ -219,7 +219,8 @@ TEST(ServeEngineSoakTest, BreakerTripsRoutesDownAndRecovers) {
   for (const ServeReport::BreakerRow& row : report.breakers) {
     if (row.rung == hpc::Variant::kOpenCLOpt) {
       EXPECT_GE(row.trips, 1u);
-      EXPECT_EQ(row.state, BreakerState::kClosed) << "recovered by probe";
+      EXPECT_EQ(row.state, fault::BreakerState::kClosed)
+          << "recovered by probe";
     }
   }
 }

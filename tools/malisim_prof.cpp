@@ -41,6 +41,7 @@
 
 #include "common/log.h"
 #include "common/status.h"
+#include "fault/fault_plan.h"
 #include "harness/experiment.h"
 #include "hpc/benchmark.h"
 #include "obs/export.h"
@@ -118,6 +119,14 @@ std::vector<std::string> SplitCsv(const std::string& list) {
 bool ParseArgs(int argc, char** argv, ProfOptions* options) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    const StatusOr<bool> fault_flag =
+        fault::ParseFaultFlag(arg, &options->fault);
+    if (!fault_flag.ok()) {
+      std::fprintf(stderr, "malisim-prof: %s\n",
+                   fault_flag.status().ToString().c_str());
+      return false;
+    }
+    if (*fault_flag) continue;
     if (arg == "--fp64") {
       options->fp64 = true;
     } else if (arg == "--fp32") {
@@ -187,14 +196,6 @@ bool ParseArgs(int argc, char** argv, ProfOptions* options) {
       options->repetitions =
           static_cast<int>(std::strtol(arg.c_str() + 14, nullptr, 10));
       if (options->repetitions < 1) options->repetitions = 1;
-    } else if (arg.rfind("--fault-seed=", 0) == 0) {
-      options->fault.seed = std::strtoull(arg.c_str() + 13, nullptr, 10);
-    } else if (arg.rfind("--fault-rate=", 0) == 0) {
-      options->fault.rate = std::strtod(arg.c_str() + 13, nullptr);
-    } else if (arg.rfind("--fault-spec=", 0) == 0) {
-      options->fault.spec = arg.substr(13);
-    } else if (arg.rfind("--watchdog=", 0) == 0) {
-      options->fault.watchdog_sec = std::strtod(arg.c_str() + 11, nullptr);
     } else if (arg == "--help" || arg == "-h") {
       PrintUsage(argv[0]);
       return false;

@@ -96,6 +96,13 @@ ServeToolOptions ParseArgs(int argc, char** argv) {
   ServeToolOptions options;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    const StatusOr<bool> fault_flag =
+        fault::ParseFaultFlag(arg, &options.engine.fault);
+    if (!fault_flag.ok()) {
+      std::fprintf(stderr, "%s\n", fault_flag.status().ToString().c_str());
+      std::exit(2);
+    }
+    if (*fault_flag) continue;
     if (arg.rfind("--jobs=", 0) == 0) {
       options.jobs_path = arg.substr(7);
     } else if (arg.rfind("--load-driver=", 0) == 0) {
@@ -113,16 +120,6 @@ ServeToolOptions ParseArgs(int argc, char** argv) {
     } else if (arg.rfind("--deadline=", 0) == 0) {
       options.engine.default_deadline_sec =
           std::strtod(arg.c_str() + 11, nullptr);
-    } else if (arg.rfind("--watchdog=", 0) == 0) {
-      options.engine.fault.watchdog_sec =
-          std::strtod(arg.c_str() + 11, nullptr);
-    } else if (arg.rfind("--fault-seed=", 0) == 0) {
-      options.engine.fault.seed =
-          std::strtoull(arg.c_str() + 13, nullptr, 10);
-    } else if (arg.rfind("--fault-rate=", 0) == 0) {
-      options.engine.fault.rate = std::strtod(arg.c_str() + 13, nullptr);
-    } else if (arg.rfind("--fault-spec=", 0) == 0) {
-      options.engine.fault.spec = arg.substr(13);
     } else if (arg.rfind("--breaker-threshold=", 0) == 0) {
       options.engine.breaker.failure_threshold =
           static_cast<int>(std::strtol(arg.c_str() + 20, nullptr, 10));
